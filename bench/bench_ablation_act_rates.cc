@@ -12,7 +12,7 @@
 #include "src/addr/decoder.h"
 #include "src/base/units.h"
 #include "src/memctl/act_profile.h"
-#include "src/memctl/engine.h"
+#include "src/memctl/controller.h"
 #include "src/sim/experiment.h"
 #include "src/workload/workloads.h"
 

@@ -1,6 +1,6 @@
 // Hot-path regression benchmark: self-timed microbenchmarks over the four
 // engine-critical paths — address decode round-trip, ACT + disturbance
-// delivery, read-through-ECC, and the end-to-end closed-loop engine — each
+// delivery, read-through-ECC, and the end-to-end shard serve engine — each
 // paired with a deterministic checksum over its observable results.
 //
 // Two contracts, enforced at different strengths (see
@@ -24,11 +24,11 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/addr/decoder.h"
 #include "src/dram/device.h"
 #include "src/dram/fault_model.h"
 #include "src/memctl/controller.h"
-#include "src/memctl/engine.h"
 #include "src/memctl/sharded_engine.h"
 
 namespace siloz {
@@ -195,49 +195,14 @@ BenchResult BenchReadEcc() {
   });
 }
 
-// End-to-end closed-loop engine run: decode a mixed request stream once
-// outside the timed section, then time RunClosedLoop serving it through a
-// real MemoryController.
-BenchResult BenchClosedLoop() {
-  constexpr uint64_t kIters = 2'000'000;
-  const SkylakeDecoder decoder(Geometry());
-  std::vector<MemRequest> requests;
-  requests.reserve(kIters);
-  const uint64_t socket_lines = Geometry().socket_bytes() / kCacheLineBytes;
-  uint64_t jump_state = 7;
-  uint64_t phys = 0;
-  for (uint64_t i = 0; i < kIters; ++i) {
-    MemRequest request;
-    request.address = *decoder.PhysToMedia(phys);
-    request.is_write = (i & 3) == 3;
-    requests.push_back(request);
-    if (i % 23 == 0) {
-      phys = (NextJump(jump_state) % socket_lines) * kCacheLineBytes;
-    } else {
-      phys = (phys + kCacheLineBytes) % Geometry().socket_bytes();
-    }
-  }
-  return RunBench("closed_loop", kIters, [&requests](Checksum& checksum) {
-    MemoryController controller(Geometry(), 0);
-    MemoryController* controllers[] = {&controller};
-    EngineConfig config;
-    config.max_outstanding = 10;
-    config.compute_ns_per_access = 10.0;
-    const EngineResult result = RunClosedLoop(requests, controllers, config);
-    checksum.FoldDouble(result.elapsed_ns);
-    checksum.Fold(result.requests);
-    checksum.Fold(controller.stats().row_hits);
-    checksum.Fold(controller.stats().row_misses);
-  });
-}
-
-// Sharded end-to-end run: the same decode-once discipline, but over a
-// whole-machine (both sockets) stream served through the per-channel shard
-// path with per-bank-group command queues (DESIGN.md §15). Single worker —
-// worker count is never observable (DESIGN.md §13), so this checksum stands
-// for every thread count. The per-shard request census is reported alongside
-// and gated exactly by the regression script; it depends only on the channel
-// partition, never on the bank-group queue split.
+// End-to-end serve run: decode a mixed whole-machine (both sockets) request
+// stream once outside the timed section, then time it through the
+// per-channel shard engine with per-bank-group command queues (DESIGN.md
+// §15). Single worker — worker count is never observable (DESIGN.md §13),
+// so this checksum stands for every thread count. The per-shard request
+// census is reported alongside and gated exactly by the regression script;
+// it depends only on the channel partition, never on the bank-group queue
+// split.
 BenchResult BenchShardedClosedLoop(uint32_t channels_per_shard,
                                    uint32_t bank_groups_per_queue) {
   constexpr uint64_t kIters = 2'000'000;
@@ -305,18 +270,22 @@ BenchResult BenchShardedClosedLoop(uint32_t channels_per_shard,
 int main(int argc, char** argv) {
   bool json = false;
   // Model knobs of the sharded bench; the committed baseline is measured at
-  // the defaults (one shard per channel, one bank group per queue), and CI
-  // passes them explicitly so the invocation documents the baseline shape.
-  uint32_t channels_per_shard = 1;
-  uint32_t bank_groups_per_queue = 1;
+  // the engine defaults (one shard per channel, one bank group per queue),
+  // and CI passes them explicitly so the invocation documents the baseline
+  // shape.
+  const siloz::ShardedEngineConfig defaults;
+  uint32_t channels_per_shard = defaults.channels_per_shard;
+  uint32_t bank_groups_per_queue = defaults.bank_groups_per_queue;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") {
       json = true;
     } else if (arg == "--channels-per-shard" && i + 1 < argc) {
-      channels_per_shard = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      channels_per_shard = siloz::bench::PositiveKnob(argv[i], argv[i + 1]);
+      ++i;
     } else if (arg == "--bank-groups-per-queue" && i + 1 < argc) {
-      bank_groups_per_queue = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      bank_groups_per_queue = siloz::bench::PositiveKnob(argv[i], argv[i + 1]);
+      ++i;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json] [--channels-per-shard N] [--bank-groups-per-queue N]\n",
@@ -329,7 +298,6 @@ int main(int argc, char** argv) {
       siloz::BenchDecodeRoundTrip(),
       siloz::BenchActDisturb(),
       siloz::BenchReadEcc(),
-      siloz::BenchClosedLoop(),
       siloz::BenchShardedClosedLoop(channels_per_shard, bank_groups_per_queue),
   };
 

@@ -7,6 +7,7 @@
 #ifndef SILOZ_BENCH_BENCH_UTIL_H_
 #define SILOZ_BENCH_BENCH_UTIL_H_
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "src/dram/geometry.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/sim/experiment.h"
 
 namespace siloz {
 namespace bench {
@@ -33,35 +35,46 @@ inline uint32_t ThreadsFromArgs(int argc, char** argv) {
   return 0;
 }
 
-// Parses the `--channels-per-shard N` model knob (DESIGN.md §13): 0 selects
-// the serial reference engine, N >= 1 the sharded engine with N channels per
-// command-queue shard. Unlike --threads this is part of the model
-// configuration — reported times legitimately depend on it — so benches
-// default it to 1 (one shard per channel, the realistic controller shape)
-// and print the value with their telemetry.
+// Parses the value of a model-knob flag that must be a decimal integer
+// >= 1. Zero, non-numeric input and trailing garbage print a message and
+// exit 2: a malformed knob must never run a quietly different model.
+inline uint32_t PositiveKnob(const char* flag, const char* text) {
+  uint32_t value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value == 0) {
+    std::fprintf(stderr, "%s: expected an integer >= 1, got '%s'\n", flag, text);
+    std::exit(2);
+  }
+  return value;
+}
+
+// Parses the `--channels-per-shard N` model knob (DESIGN.md §13): N >= 1
+// channels per command-queue shard. Unlike --threads this is part of the
+// model configuration — reported times legitimately depend on it — so
+// benches print the value with their telemetry. Defaults to RunnerConfig's
+// (one shard per channel, the realistic controller shape).
 inline uint32_t ChannelsPerShardFromArgs(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--channels-per-shard") == 0) {
-      return static_cast<uint32_t>(std::strtoul(argv[i + 1], nullptr, 10));
+      return PositiveKnob(argv[i], argv[i + 1]);
     }
   }
-  return 1;
+  return RunnerConfig{}.channels_per_shard;
 }
 
-// Parses the `--bank-groups-per-queue N` model knob (DESIGN.md §15): 0
-// keeps one completion window per channel shard (the PR7 shape), N >= 1
-// splits each shard into per-bank-group command queues of N bank groups
+// Parses the `--bank-groups-per-queue N` model knob (DESIGN.md §15): each
+// shard splits into per-bank-group command queues of N >= 1 bank groups
 // apiece. Model configuration like --channels-per-shard: completion times
-// depend on it (invariant censuses never do), so benches default it to 1 —
-// independent queues per bank group, the realistic controller front-end —
-// and print the value with their telemetry.
+// depend on it (invariant censuses never do). Defaults to RunnerConfig's
+// (independent queues per bank group, the realistic controller front-end).
 inline uint32_t BankGroupsPerQueueFromArgs(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--bank-groups-per-queue") == 0) {
-      return static_cast<uint32_t>(std::strtoul(argv[i + 1], nullptr, 10));
+      return PositiveKnob(argv[i], argv[i + 1]);
     }
   }
-  return 1;
+  return RunnerConfig{}.bank_groups_per_queue;
 }
 
 inline std::string StringFromArgs(int argc, char** argv, const char* flag) {

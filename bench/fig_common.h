@@ -127,33 +127,24 @@ inline bool RunFigure(const std::vector<WorkloadSpec>& workloads, const VariantS
                experiment, static_cast<unsigned long long>(simulated_requests), wall_s,
                wall_s > 0.0 ? static_cast<double>(simulated_requests) / wall_s / 1e6 : 0.0);
 
-  // Per-shard throughput telemetry (sharded engine only): requests served by
-  // each channel shard, summed over the whole grid in shard-plan order, and
-  // the host-side rate that shard sustained. Sched-domain facts, so stderr —
-  // the stdout tables stay byte-identical across thread counts and hosts.
-  if (channels_per_shard >= 1) {
-    std::vector<uint64_t> shard_totals;
-    for (const RunMeasurement& measurement : *grid) {
-      if (measurement.shard_requests.empty()) {
-        continue;
-      }
-      if (shard_totals.empty()) {
-        shard_totals.assign(measurement.shard_requests.size(), 0);
-      }
-      for (size_t shard = 0; shard < measurement.shard_requests.size(); ++shard) {
-        shard_totals[shard] += measurement.shard_requests[shard];
-      }
+  // Per-shard throughput telemetry: requests served by each channel shard,
+  // summed over the whole grid in shard-plan order, and the host-side rate
+  // that shard sustained. Sched-domain facts, so stderr — the stdout tables
+  // stay byte-identical across thread counts and hosts.
+  std::vector<uint64_t> shard_totals;
+  for (const RunMeasurement& measurement : *grid) {
+    shard_totals.resize(measurement.shard_requests.size(), 0);
+    for (size_t shard = 0; shard < measurement.shard_requests.size(); ++shard) {
+      shard_totals[shard] += measurement.shard_requests[shard];
     }
-    for (size_t shard = 0; shard < shard_totals.size(); ++shard) {
-      obs::Registry::Global()
-          .GetCounter("bench.shard" + std::to_string(shard) + ".requests",
-                      obs::Domain::kSched)
-          .Add(shard_totals[shard]);
-      std::fprintf(stderr, "%s: shard%zu served %llu requests (%.2f Mreq/s)\n", experiment,
-                   shard, static_cast<unsigned long long>(shard_totals[shard]),
-                   wall_s > 0.0 ? static_cast<double>(shard_totals[shard]) / wall_s / 1e6
-                                : 0.0);
-    }
+  }
+  for (size_t shard = 0; shard < shard_totals.size(); ++shard) {
+    obs::Registry::Global()
+        .GetCounter("bench.shard" + std::to_string(shard) + ".requests", obs::Domain::kSched)
+        .Add(shard_totals[shard]);
+    std::fprintf(stderr, "%s: shard%zu served %llu requests (%.2f Mreq/s)\n", experiment, shard,
+                 static_cast<unsigned long long>(shard_totals[shard]),
+                 wall_s > 0.0 ? static_cast<double>(shard_totals[shard]) / wall_s / 1e6 : 0.0);
   }
 
   // Re-shape into per-variant rows, variant-major as the tables expect.

@@ -19,7 +19,7 @@ Two contracts, enforced at different strengths:
 
 The baseline file also carries a `history` section of before/after wall
 clocks per optimization PR. `--append-wall NAME=MILLIS` (repeatable)
-records measured figure-suite walls into the `history.subshard_engine`
+records measured figure-suite walls into the `history.one_engine`
 block — `after` is set to the given value, and `before` is seeded from the
 most recent prior block's `after` for the same bench when absent — then
 rewrites the baseline in place. Appending is an explicit, reviewed action:
@@ -36,9 +36,9 @@ import json
 import subprocess
 import sys
 
-# The history block this PR's wall-clock refreshes land in (sub-channel
-# bank-group queues + grid-level trial sharding).
-WALL_BLOCK = "subshard_engine"
+# The history block wall-clock refreshes land in (the one-engine collapse of
+# the serve paths).
+WALL_BLOCK = "one_engine"
 
 
 def append_walls(path: str, entries: list[str]) -> None:
@@ -49,10 +49,10 @@ def append_walls(path: str, entries: list[str]) -> None:
     block.setdefault(
         "_comment",
         [
-            "Before/after the sub-channel bank-group queue split (DESIGN.md",
-            "§15) and the flattened grid-level (point x trial) schedule.",
-            "Walls measured by `check_bench_regression.py --append-wall`;",
-            "output bytes identical throughout.",
+            "Before/after collapsing the serve paths into one engine",
+            "(DESIGN.md §13/§15). Walls measured by",
+            "`check_bench_regression.py --append-wall`; output bytes",
+            "identical throughout.",
         ],
     )
     wall_ms = block.setdefault("wall_ms", {})

@@ -39,9 +39,8 @@ struct MemRequest {
 
 // A request pre-resolved to the controller's internal coordinates: the flat
 // bank/rank indices Serve() would otherwise recompute per call, plus the two
-// flags it reads. 12 bytes against MemRequest's 36 — the sharded engine
-// partitions streams into per-shard batches of these so the serve loop runs
-// multiply-free and the batch fits higher up the cache hierarchy.
+// flags it reads. 12 bytes against MemRequest's 36 — the shard servers
+// consume these, so the per-command serve loop runs multiply-free.
 struct DecodedCmd {
   uint32_t row = 0;
   uint16_t bank_index = 0;  // SocketBankIndex(geometry, address)

@@ -1,32 +1,22 @@
-// Closed-loop access engine: models cores issuing memory requests with
+// Closed-loop engine vocabulary: models cores issuing memory requests with
 // bounded memory-level parallelism.
 //
-// Workload generators (src/workload) produce request streams; the engine
-// replays them against the per-socket memory controllers with a fixed number
-// of outstanding misses and an optional compute gap between issues. Elapsed
-// time and achieved bandwidth are what the Fig 4-7 benches report.
-//
-// The core loop is templated over the request source: replaying a
-// materialized trace (RunClosedLoop over a span) and fusing generation with
-// service (RunClosedLoopOver with a TraceStreamer-backed callable) share one
-// implementation, so the two paths are request-for-request identical by
-// construction. The fused path exists because a materialized trace is
-// written once and read once — for a pure timing run, streaming each request
-// straight from the generator into Serve() skips that round-trip through
-// memory entirely.
+// EngineConfig is the per-queue closed-loop shape (outstanding misses, compute
+// gap between issues), EngineResult what one closed loop reports, and
+// CompletionWindow the bounded in-flight multiset every command queue stalls
+// on. The one production serve engine built from them is ShardServer
+// (sharded_engine.h); the single-window serial loop that predates it lives on
+// only as the differential oracle in tests/support/serial_engine.h.
 #ifndef SILOZ_SRC_MEMCTL_ENGINE_H_
 #define SILOZ_SRC_MEMCTL_ENGINE_H_
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "src/base/check.h"
-#include "src/memctl/controller.h"
 
 namespace siloz {
 
@@ -65,8 +55,8 @@ namespace engine_internal {
 inline constexpr uint32_t kLinearWindowLimit = 16;
 
 // Bounded multiset of in-flight completion times exposing its minimum — the
-// one shared window structure behind both the serial engine and the sharded
-// ShardServer. Two representations behind one interface:
+// window structure behind every ShardServer command queue (and the serial
+// test oracle). Two representations behind one interface:
 //
 //  - capacity <= kLinearWindowLimit: a flat array min-scanned per query.
 //  - above: a tournament (winner) tree over a power-of-two leaf array padded
@@ -165,48 +155,6 @@ class CompletionWindow {
 };
 
 }  // namespace engine_internal
-
-// Serve `count` requests pulled one at a time from `next` (a callable
-// returning a reference valid until the following call). Requests route to
-// controllers[address.socket].
-template <typename NextRequest>
-EngineResult RunClosedLoopOver(uint64_t count, NextRequest&& next,
-                               std::span<MemoryController* const> controllers,
-                               const EngineConfig& config) {
-  SILOZ_CHECK_GT(config.max_outstanding, 0u);
-  engine_internal::CompletionWindow window(config.max_outstanding);
-  double issue_cursor = 0.0;
-  double last_completion = 0.0;
-
-  for (uint64_t i = 0; i < count; ++i) {
-    const MemRequest& request = next();
-    SILOZ_DCHECK(request.address.socket < controllers.size());
-    double completion;
-    if (window.full()) {
-      // The core stalls until a slot frees up; the new request takes the
-      // retired slot.
-      const size_t slot = window.MinSlot();
-      issue_cursor = std::max(issue_cursor, window.ValueAt(slot));
-      completion = controllers[request.address.socket]->Serve(request, issue_cursor);
-      window.Replace(slot, completion);
-    } else {
-      completion = controllers[request.address.socket]->Serve(request, issue_cursor);
-      window.Push(completion);
-    }
-    last_completion = std::max(last_completion, completion);
-    issue_cursor += config.compute_ns_per_access;
-  }
-
-  EngineResult result;
-  result.elapsed_ns = last_completion;
-  result.requests = count;
-  return result;
-}
-
-// Replays a materialized trace through the controllers.
-EngineResult RunClosedLoop(std::span<const MemRequest> requests,
-                           std::span<MemoryController* const> controllers,
-                           const EngineConfig& config);
 
 }  // namespace siloz
 

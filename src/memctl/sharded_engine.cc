@@ -4,91 +4,42 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "src/base/thread_pool.h"
 #include "src/obs/metrics.h"
 
 namespace siloz {
-namespace {
 
-// One shard's closed loop over a pre-partitioned batch. ShardServer holds
-// the window discipline, so this is the same arithmetic the fused streaming
-// path runs — a single-channel machine sharded 1-way reproduces the serial
-// engine's timing bit-for-bit.
-EngineResult ServeShard(std::span<const DecodedCmd> batch, MemoryController& controller,
-                        const ShardPlan& plan, uint32_t shard,
-                        const ShardedEngineConfig& config) {
-  ShardServer server(controller, config.engine, config.bank_groups_per_queue,
-                     plan.FirstChannelOf(shard), plan.ChannelsOf(shard));
-  for (const DecodedCmd& cmd : batch) {
-    server.Feed(cmd);
+Status ValidateShardKnobs(uint32_t channels_per_shard, uint32_t bank_groups_per_queue) {
+  if (channels_per_shard == 0) {
+    return MakeError(ErrorCode::kInvalidArgument, "channels_per_shard must be >= 1");
   }
-  return server.result();
+  if (bank_groups_per_queue == 0) {
+    return MakeError(ErrorCode::kInvalidArgument, "bank_groups_per_queue must be >= 1");
+  }
+  return Status::Ok();
 }
 
-}  // namespace
-
-void DecodeBatch::BuildFromTrace(const ShardPlan& plan, std::span<const MemRequest> requests,
-                                 std::span<MemoryController* const> controllers) {
-  SILOZ_CHECK(requests.size() <= std::numeric_limits<uint32_t>::max());
-  const uint32_t count = static_cast<uint32_t>(requests.size());
-  const uint32_t shards = shard_count();
-
-  // Routing pass: shard id per request (kept for the scatter below) plus the
-  // exact per-shard counts, so the flat batch is sized once with no slack.
-  staged_shard_.resize(count);
-  std::fill(offsets_.begin(), offsets_.end(), 0u);
-  for (uint32_t i = 0; i < count; ++i) {
-    const MediaAddress& address = requests[i].address;
-    SILOZ_DCHECK(address.socket < controllers.size());
-    const uint32_t shard = plan.ShardOf(address.socket, address.channel);
-    staged_shard_[i] = static_cast<uint16_t>(shard);
-    ++offsets_[shard + 1];
+ShardPartition PartitionByShard(const ShardPlan& plan, std::span<const MemRequest> trace) {
+  SILOZ_CHECK(trace.size() <= std::numeric_limits<uint32_t>::max());
+  const auto count = static_cast<uint32_t>(trace.size());
+  ShardPartition partition;
+  partition.offsets.assign(plan.shard_count() + 1, 0);
+  // Counting pass: per-shard sizes, so the index array is sized exactly once.
+  for (const MemRequest& request : trace) {
+    ++partition.offsets[plan.ShardOf(request.address.socket, request.address.channel) + 1];
   }
-  for (uint32_t shard = 0; shard < shards; ++shard) {
-    offsets_[shard + 1] += offsets_[shard];
+  for (uint32_t shard = 0; shard < plan.shard_count(); ++shard) {
+    partition.offsets[shard + 1] += partition.offsets[shard];
   }
-
-  // Decode pass: every request scatters straight into its shard's final
-  // slot. All controllers share one geometry, so the index arithmetic
-  // (DecodeMediaCmd, the single source shared with MemoryController::
-  // DecodeCmd) runs with the geometry hoisted out of the loop instead of
-  // re-reached through a controller pointer per request.
-  const DramGeometry& geometry = controllers[0]->geometry();
-  cmds_.resize(count);
-  std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (uint32_t i = 0; i < count; ++i) {
-    const MemRequest& request = requests[i];
-    const auto flags = static_cast<uint8_t>(
-        (request.is_write ? kDecodedWrite : 0) |
-        (request.source_socket != request.address.socket ? kDecodedRemote : 0));
-    cmds_[cursor[staged_shard_[i]]++] = DecodeMediaCmd(geometry, request.address, flags);
+  // Scatter pass in trace order, so each shard's slice keeps trace order.
+  partition.indices.resize(count);
+  std::vector<uint32_t> cursor(partition.offsets.begin(), partition.offsets.end() - 1);
+  for (uint32_t index = 0; index < count; ++index) {
+    const MediaAddress& address = trace[index].address;
+    partition.indices[cursor[plan.ShardOf(address.socket, address.channel)]++] = index;
   }
-  staged_shard_.clear();
-}
-
-void DecodeBatch::Seal() {
-  SILOZ_CHECK(staged_.size() <= std::numeric_limits<uint32_t>::max());
-  const uint32_t count = static_cast<uint32_t>(staged_.size());
-  const uint32_t shards = shard_count();
-
-  std::fill(offsets_.begin(), offsets_.end(), 0u);
-  for (uint32_t i = 0; i < count; ++i) {
-    ++offsets_[staged_shard_[i] + 1];
-  }
-  for (uint32_t shard = 0; shard < shards; ++shard) {
-    offsets_[shard + 1] += offsets_[shard];
-  }
-  cmds_.resize(count);
-  std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (uint32_t i = 0; i < count; ++i) {
-    cmds_[cursor[staged_shard_[i]]++] = staged_[i];
-  }
-  staged_.clear();
-  staged_.shrink_to_fit();
-  staged_shard_.clear();
-  staged_shard_.shrink_to_fit();
+  return partition;
 }
 
 namespace sharded_internal {
@@ -146,45 +97,15 @@ Result<ShardedEngineResult> MergeShards(const ShardPlan& plan,
   return result;
 }
 
-Result<ShardedEngineResult> RunOnBatches(const ShardPlan& plan, const DecodeBatch& batch,
-                                         uint64_t expected_requests,
-                                         std::span<MemoryController* const> controllers,
-                                         const ShardedEngineConfig& config) {
-  SILOZ_CHECK(batch.shard_count() == plan.shard_count());
-  // Fires before any shard serves: an injected dispatch failure must leave
-  // the absorb-target controllers untouched (tested by the sharded stress
-  // battery's fault-injection leg).
-  SILOZ_FAULT_POINT("alloc.shard.dispatch");
-
-  // Worker tasks fill only their own slot; the barrier below makes the
-  // coordinating thread's ordered merge race-free.
-  std::vector<std::optional<MemoryController>> shard_controllers(plan.shard_count());
-  std::vector<EngineResult> shard_results(plan.shard_count());
-  {
-    ThreadPool pool(config.threads);
-    pool.ParallelFor(0, plan.shard_count(), [&](uint64_t shard) {
-      const uint32_t socket = plan.SocketOf(static_cast<uint32_t>(shard));
-      shard_controllers[shard].emplace(controllers[socket]->geometry(), socket,
-                                       controllers[socket]->timings());
-      shard_results[shard] =
-          ServeShard(batch.Shard(static_cast<uint32_t>(shard)), *shard_controllers[shard],
-                     plan, static_cast<uint32_t>(shard), config);
-    });
-  }
-
-  return MergeShards(plan, shard_controllers, shard_results, controllers, expected_requests,
-                     config.bank_groups_per_queue);
-}
-
 }  // namespace sharded_internal
 
 Result<ShardedEngineResult> RunShardedClosedLoop(std::span<const MemRequest> requests,
                                                  std::span<MemoryController* const> controllers,
                                                  const ShardedEngineConfig& config) {
   SILOZ_CHECK(!controllers.empty());
-  // One worker serves every shard inline, so staging per-shard batches first
-  // would only round-trip the commands through memory: decode-and-feed fused
-  // is the same per-shard command sequence with the copy skipped.
+  // One worker serves every shard inline, so partitioning first would only
+  // walk the trace a second time: decode-and-feed fused is the same
+  // per-shard command sequence with that pass skipped.
   if (config.threads <= 1) {
     return RunShardedFused(
         requests.size(),
@@ -197,12 +118,39 @@ Result<ShardedEngineResult> RunShardedClosedLoop(std::span<const MemRequest> req
         },
         controllers, config);
   }
+  SILOZ_RETURN_IF_ERROR(ValidateShardKnobs(config.channels_per_shard,
+                                           config.bank_groups_per_queue));
   const ShardPlan plan(controllers[0]->geometry(), static_cast<uint32_t>(controllers.size()),
                        config.channels_per_shard);
   SILOZ_FAULT_POINT("alloc.shard.partition");
-  DecodeBatch batch(plan.shard_count());
-  batch.BuildFromTrace(plan, requests, controllers);
-  return sharded_internal::RunOnBatches(plan, batch, requests.size(), controllers, config);
+  const ShardPartition partition = PartitionByShard(plan, requests);
+  // Fires before any shard serves: an injected dispatch failure must leave
+  // the absorb-target controllers untouched (tested by the sharded stress
+  // battery's fault-injection leg).
+  SILOZ_FAULT_POINT("alloc.shard.dispatch");
+
+  // Worker tasks fill only their own slot; the pool's barrier makes the
+  // coordinating thread's ordered merge race-free. Each shard decodes its
+  // own subsequence inline against its private controller.
+  std::vector<std::optional<MemoryController>> shard_controllers(plan.shard_count());
+  std::vector<EngineResult> shard_results(plan.shard_count());
+  {
+    ThreadPool pool(config.threads);
+    pool.ParallelFor(0, plan.shard_count(), [&](uint64_t index) {
+      const auto shard = static_cast<uint32_t>(index);
+      const uint32_t socket = plan.SocketOf(shard);
+      MemoryController& controller = shard_controllers[shard].emplace(
+          controllers[socket]->geometry(), socket, controllers[socket]->timings());
+      ShardServer server(controller, config.engine, config.bank_groups_per_queue,
+                         plan.FirstChannelOf(shard), plan.ChannelsOf(shard));
+      for (const uint32_t i : partition.Shard(shard)) {
+        server.Feed(controller.DecodeCmd(requests[i]));
+      }
+      shard_results[shard] = server.result();
+    });
+  }
+  return sharded_internal::MergeShards(plan, shard_controllers, shard_results, controllers,
+                                       requests.size(), config.bank_groups_per_queue);
 }
 
 }  // namespace siloz

@@ -1,23 +1,19 @@
-// Sharded closed-loop engine: per-channel command queues served in parallel.
+// The serve engine: per-channel command queues, split per bank group.
 //
-// The serial engine (engine.h) couples every channel through one MLP window:
-// request i+1 cannot issue until the globally-oldest in-flight request
-// retires, wherever it lives. Real controllers are not built that way —
-// each channel owns an independent command queue, and cores sustain their
-// MLP against the channel actually servicing the miss. The sharded engine
-// models that decomposition (ROADMAP item 4, DESIGN.md §13): the request
-// stream is partitioned by (socket, channel block) into per-shard batches of
-// pre-decoded commands, every shard runs its own closed loop against a
-// shard-private MemoryController, and the per-shard results are merged in a
-// fixed shard order.
+// Real controllers do not couple every channel through one MLP window: each
+// channel owns an independent command queue, and cores sustain their MLP
+// against the channel actually servicing the miss. The engine models that
+// decomposition (DESIGN.md §13): the request stream is partitioned by
+// (socket, channel block) into shards, every shard runs its own closed loop
+// (ShardServer) against a shard-private MemoryController, and the per-shard
+// results are merged in a fixed shard order.
 //
-// One level below the channel (DESIGN.md §15), each shard optionally splits
-// into per-bank-group command queues (bank_groups_per_queue >= 1): every
-// block of bank groups owns its own CompletionWindow, so a request stalls
-// only behind its own queue's oldest in-flight miss while the shard's issue
-// cursor keeps the command stream in order. This models the bank-level
-// parallelism real controller front-ends schedule around, instead of
-// serializing every bank of the shard through one window.
+// One level below the channel (DESIGN.md §15), each shard splits into
+// per-bank-group command queues: every block of bank_groups_per_queue bank
+// groups owns its own CompletionWindow, so a request stalls only behind its
+// own queue's oldest in-flight miss while the shard's issue cursor keeps the
+// command stream in order. This models the bank-level parallelism real
+// controller front-ends schedule around.
 //
 // Determinism contract (DESIGN.md §8/§13): the shard decomposition is a
 // property of the *model configuration* (channels_per_shard), never of the
@@ -26,13 +22,12 @@
 // shard index on the coordinating thread. Results are therefore bit-identical
 // for every `threads` value, including 1.
 //
-// Relation to the serial engine: per-bank command subsequences are identical
-// under partition, so row hits/misses, ACT/PRE censuses, and read/write
-// counts match the serial engine exactly (the differential harness in
-// tests/sharded_differential_test.cc pins this). Completion *times* differ
-// by design — per-channel queues against a global window — which is why both
-// engines stay in-tree: serial is the reference semantics, sharded the
-// scalable one.
+// Relation to the single-window serial loop (kept as the test oracle,
+// tests/support/serial_engine.h): per-bank command subsequences are
+// identical under partition, so row hits/misses, ACT/PRE censuses, and
+// read/write counts match it exactly (tests/sharded_differential_test.cc
+// pins this). Completion *times* differ by design — per-queue windows
+// against one global window.
 #ifndef SILOZ_SRC_MEMCTL_SHARDED_ENGINE_H_
 #define SILOZ_SRC_MEMCTL_SHARDED_ENGINE_H_
 
@@ -46,6 +41,7 @@
 #include "src/base/check.h"
 #include "src/base/fault_injector.h"
 #include "src/base/result.h"
+#include "src/memctl/controller.h"
 #include "src/memctl/engine.h"
 
 namespace siloz {
@@ -54,36 +50,40 @@ struct ShardedEngineConfig {
   // Per-shard closed-loop parameters: each shard (channel command queue)
   // sustains its own MLP window and compute gap.
   EngineConfig engine;
-  // Channels folded into one shard (clamped to [1, channels_per_socket]).
-  // Part of the model configuration: results depend on this knob.
+  // Channels folded into one shard; >= 1, values above channels_per_socket
+  // clamp to one shard per socket. Part of the model configuration: results
+  // depend on this knob.
   uint32_t channels_per_shard = 1;
   // Sub-channel decomposition of each shard into per-bank-group command
-  // queues (DESIGN.md §15). 0 = legacy: one CompletionWindow for the whole
-  // shard, every bank serialized through it. N >= 1 = each block of N bank
-  // groups (kBanksPerGroup banks apiece) owns an independent queue with its
-  // own completion window; the queues share the shard's issue cursor, so
-  // bank-level parallelism is exploited instead of bottlenecked on the
-  // globally-oldest in-flight request. Part of the model configuration:
-  // completion times depend on this knob — the per-bank command
-  // subsequences, and hence every invariant census, do not.
-  uint32_t bank_groups_per_queue = 0;
+  // queues (DESIGN.md §15): each block of N >= 1 bank groups (kBanksPerGroup
+  // banks apiece) owns an independent queue with its own completion window;
+  // the queues share the shard's issue cursor. A grouping that covers the
+  // whole shard is one queue — the single-window shard. Part of the model
+  // configuration: completion times depend on this knob — the per-bank
+  // command subsequences, and hence every invariant census, do not.
+  uint32_t bank_groups_per_queue = 1;
   // Workers for the shard serve loop (ThreadPool semantics; 1 = inline).
   // NOT part of the model: results are bit-identical for every value.
   uint32_t threads = 1;
 };
 
+// Rejects the model knobs no engine shape can serve: zero channels per shard
+// or zero bank groups per queue (kInvalidArgument).
+Status ValidateShardKnobs(uint32_t channels_per_shard, uint32_t bank_groups_per_queue);
+
 // Fixed decomposition of the platform's channels into shards, enumerated
 // socket-major then channel-block — the canonical merge order.
+// `channels_per_shard` must be >= 1; values above channels_per_socket clamp
+// to one shard per socket.
 class ShardPlan {
  public:
   ShardPlan(const DramGeometry& geometry, uint32_t sockets, uint32_t channels_per_shard)
       : channels_per_socket_(geometry.channels_per_socket),
-        channels_per_shard_(
-            std::clamp(channels_per_shard, 1u, geometry.channels_per_socket)),
-        blocks_per_socket_((geometry.channels_per_socket + channels_per_shard_ - 1) /
-                           channels_per_shard_),
+        channels_per_shard_(std::min(channels_per_shard, geometry.channels_per_socket)),
         sockets_(sockets),
         block_of_channel_(channels_per_socket_) {
+    SILOZ_CHECK_GT(channels_per_shard, 0u);
+    blocks_per_socket_ = (channels_per_socket_ + channels_per_shard_ - 1) / channels_per_shard_;
     // ShardOf runs once per command on the sharded hot paths; a prebuilt
     // channel->block table beats the integer divide it replaces.
     for (uint32_t channel = 0; channel < channels_per_socket_; ++channel) {
@@ -109,21 +109,18 @@ class ShardPlan {
  private:
   uint32_t channels_per_socket_;
   uint32_t channels_per_shard_;
-  uint32_t blocks_per_socket_;
+  uint32_t blocks_per_socket_ = 0;
   uint32_t sockets_;
   std::vector<uint32_t> block_of_channel_;  // channel -> block (shard within socket)
 };
 
 // Bank-group command queues one shard of `channels` channels decomposes
-// into: ceil(banks / (kBanksPerGroup * bank_groups_per_queue)), or 1 when
-// bank_groups_per_queue is 0 (legacy single-window shard). Shared by the
-// ShardServer construction, the merge telemetry, and the tests that pin the
-// regrouping algebra.
+// into: ceil(banks / (kBanksPerGroup * bank_groups_per_queue)), with
+// bank_groups_per_queue >= 1. Shared by the ShardServer construction, the
+// merge telemetry, and the tests that pin the regrouping algebra.
 inline uint32_t ShardQueueCount(const DramGeometry& geometry, uint32_t channels,
                                 uint32_t bank_groups_per_queue) {
-  if (bank_groups_per_queue == 0) {
-    return 1;
-  }
+  SILOZ_CHECK_GT(bank_groups_per_queue, 0u);
   const uint32_t banks = channels * geometry.banks_per_channel();
   const uint32_t banks_per_queue = kBanksPerGroup * bank_groups_per_queue;
   return (banks + banks_per_queue - 1) / banks_per_queue;
@@ -155,48 +152,31 @@ struct ShardedEngineResult {
   }
 };
 
-// One shard's closed loop as an incremental consumer: the serial engine's
-// window discipline (CompletionWindow, see engine.h) against a shard-private
-// controller, fed one pre-decoded command at a time in shard-stream order.
-// Both sharded serve paths — batched (RunOnBatches) and fused streaming
-// (RunShardedFused) — reduce each shard to exactly this sequence of
-// operations, so the two are bit-identical by construction.
+// One shard's closed loop as an incremental consumer: the CompletionWindow
+// discipline (engine.h) against a shard-private controller, fed one
+// pre-decoded command at a time in shard-stream order. Both entry points —
+// fused streaming (RunShardedFused) and the parallel trace serve
+// (RunShardedClosedLoop at threads > 1) — reduce each shard to exactly this
+// sequence of operations, so the two are bit-identical by construction.
 //
-// With bank_groups_per_queue >= 1 the shard splits into per-bank-group
-// command queues (BankGroupQueue = one CompletionWindow per block of
-// kBanksPerGroup * bank_groups_per_queue banks): each command stalls only on
-// the oldest in-flight request of *its own* queue, while the shard-wide
-// issue cursor keeps issues in stream order across queues. The queue routing
-// is a pure function of the command's bank index — SocketBankIndex is
-// channel-major, so a shard's banks form one contiguous index range and the
-// route is a single LUT read off a shard-local base. ServeDecoded is still
-// called once per command in the identical stream order, so every invariant
-// census (hits/misses, ACT/PRE, reads/writes) matches the single-window
-// shard and the serial engine exactly; only completion *times* change.
+// The shard covers `channels` channels starting at `first_channel`; its
+// banks split into ShardQueueCount() bank-group command queues (one
+// CompletionWindow per block of kBanksPerGroup * bank_groups_per_queue
+// banks). Each command stalls only on the oldest in-flight request of *its
+// own* queue, while the shard-wide issue cursor keeps issues in stream order
+// across queues. The queue routing is a pure function of the command's bank
+// index — SocketBankIndex is channel-major, so a shard's banks form one
+// contiguous index range and the route is a single LUT read off a
+// shard-local base. ServeDecoded is called once per command in stream
+// order, so every invariant census (hits/misses, ACT/PRE, reads/writes) is
+// independent of the queue shape; only completion *times* change.
 class ShardServer {
  public:
-  // Legacy shape: one completion window for the whole shard.
-  ShardServer(MemoryController& controller, const EngineConfig& config)
-      : controller_(&controller), config_(config), window_(config.max_outstanding) {}
-
-  // Sub-channel shape: the shard covers `channels` channels starting at
-  // `first_channel`; its banks split into ShardQueueCount() bank-group
-  // queues. bank_groups_per_queue == 0 — or a grouping coarse enough that
-  // the whole shard is one queue — degrades to the legacy shape, keeping
-  // the single-window Feed path free of the queue indirection (the inline
-  // window, not a one-element vector, is what the fused serve loop's
-  // per-command cost budget is built on).
   ShardServer(MemoryController& controller, const EngineConfig& config,
               uint32_t bank_groups_per_queue, uint32_t first_channel, uint32_t channels)
-      : controller_(&controller), config_(config), window_(config.max_outstanding) {
-    if (bank_groups_per_queue == 0) {
-      return;
-    }
+      : controller_(&controller), config_(config) {
     const DramGeometry& geometry = controller.geometry();
     const uint32_t queues = ShardQueueCount(geometry, channels, bank_groups_per_queue);
-    if (queues <= 1) {
-      return;
-    }
     const uint32_t banks_per_channel = geometry.banks_per_channel();
     bank_base_ = first_channel * banks_per_channel;
     const uint32_t banks = channels * banks_per_channel;
@@ -214,7 +194,6 @@ class ShardServer {
     // measurable ns/op on the fused loop.
     queue_base_ = queue_windows_.data();
     route_base_ = queue_of_bank_.data();
-    multi_queue_ = true;
   }
 
   // Forced inline: Feed is the per-command body of the fused streaming loop
@@ -222,16 +201,12 @@ class ShardServer {
   // linker folds the out-of-line copy with unrelated identical code, hiding
   // a call per command inside the hot loop.
   [[gnu::always_inline]] inline void Feed(const DecodedCmd& cmd) {
-    // Same CompletionWindow arithmetic as RunClosedLoopOver (engine.h): both
-    // track only the minimum of the same multiset, so results match bit for
-    // bit. The only sub-channel twist is *which* window the command queues
-    // behind.
     engine_internal::CompletionWindow& window =
-        multi_queue_
-            ? queue_base_[route_base_[static_cast<uint32_t>(cmd.bank_index) - bank_base_]]
-            : window_;
+        queue_base_[route_base_[static_cast<uint32_t>(cmd.bank_index) - bank_base_]];
     double completion;
     if (window.full()) {
+      // The queue stalls until its oldest in-flight request retires; the new
+      // request takes the retired slot.
       const size_t slot = window.MinSlot();
       issue_cursor_ = std::max(issue_cursor_, window.ValueAt(slot));
       completion = controller_->ServeDecoded(cmd, issue_cursor_);
@@ -252,88 +227,41 @@ class ShardServer {
     return r;
   }
 
-  uint32_t queue_count() const {
-    return multi_queue_ ? static_cast<uint32_t>(queue_windows_.size()) : 1u;
-  }
-
  private:
   MemoryController* controller_;
   EngineConfig config_;
-  // In-flight completion times for the single-queue shapes (legacy, and any
-  // grouping coarse enough to cover the shard): an inline member, so the
-  // dominant Feed path pays no vector indirection.
-  engine_internal::CompletionWindow window_;
-  // Multi-queue shape only: one window per bank-group queue.
+  // One window per bank-group queue.
   std::vector<engine_internal::CompletionWindow> queue_windows_;
-  // Shard-local bank index -> queue. Populated only when multi_queue_.
+  // Shard-local bank index -> queue.
   std::vector<uint16_t> queue_of_bank_;
   // Cached .data() of the two vectors above (stable: both are sized once in
   // the constructor and never resized).
   engine_internal::CompletionWindow* queue_base_ = nullptr;
   const uint16_t* route_base_ = nullptr;
   uint32_t bank_base_ = 0;  // first bank of the shard (SocketBankIndex space)
-  bool multi_queue_ = false;
   double issue_cursor_ = 0.0;
   double last_completion_ = 0.0;
   uint64_t requests_ = 0;
 };
 
-// Shard-partitioned decode of one request stream, staged as a structure of
-// arrays: every shard's commands live in ONE flat shard-major allocation
-// instead of a vector-of-vectors, so the partition pass never reallocates
-// geometrically and the serve loop walks each shard's span contiguously.
-// Two producers:
-//  - BuildFromTrace: two passes over a materialized trace — a routing pass
-//    (shard id per request + per-shard counts), a prefix sum, then one
-//    decode pass that scatters each command straight into its final slot
-//    with the (shared) geometry hoisted out of the per-request path. This
-//    amortizes the platform-decoder arithmetic across the whole batch.
-//  - Stage + Seal: stream-order staging for pull-based producers; Seal runs
-//    the same counting scatter over the staged arrays.
-// Either way the per-shard subsequences are in stream order, identical to
-// what the old per-shard push_back partition produced.
-class DecodeBatch {
- public:
-  explicit DecodeBatch(uint32_t shard_count) : offsets_(shard_count + 1, 0) {}
+// Counting-sort partition of a trace's indices by shard (ShardPlan::ShardOf
+// on each request's socket and channel): shard s owns
+// indices[offsets[s], offsets[s + 1]), in trace order. The one decomposition
+// shared by the parallel serve (RunShardedClosedLoop at threads > 1) and the
+// parallel disturbance replay (ReplayDisturbance), so both walk exactly the
+// per-shard subsequences the fused path feeds.
+struct ShardPartition {
+  std::vector<uint32_t> offsets;  // shard_count + 1 prefix sums
+  std::vector<uint32_t> indices;  // trace indices, shard-major
 
-  void BuildFromTrace(const ShardPlan& plan, std::span<const MemRequest> requests,
-                      std::span<MemoryController* const> controllers);
-
-  void Reserve(uint64_t count) {
-    staged_.reserve(count);
-    staged_shard_.reserve(count);
+  std::span<const uint32_t> Shard(uint32_t shard) const {
+    return {indices.data() + offsets[shard], offsets[shard + 1] - offsets[shard]};
   }
-  void Stage(uint32_t shard, const DecodedCmd& cmd) {
-    staged_shard_.push_back(static_cast<uint16_t>(shard));
-    staged_.push_back(cmd);
-  }
-  void Seal();
-
-  uint32_t shard_count() const { return static_cast<uint32_t>(offsets_.size()) - 1; }
-  uint64_t size() const { return cmds_.size(); }
-  std::span<const DecodedCmd> Shard(uint32_t shard) const {
-    return {cmds_.data() + offsets_[shard], offsets_[shard + 1] - offsets_[shard]};
-  }
-
- private:
-  std::vector<DecodedCmd> cmds_;    // shard-major after BuildFromTrace/Seal
-  std::vector<uint32_t> offsets_;   // shard -> [start, end) into cmds_
-  std::vector<DecodedCmd> staged_;  // stream order, until Seal()
-  std::vector<uint16_t> staged_shard_;
 };
 
-namespace sharded_internal {
+ShardPartition PartitionByShard(const ShardPlan& plan, std::span<const MemRequest> trace);
 
-// Serves the pre-partitioned batch: one shard-private controller + closed
-// loop per shard span on a pool of config.threads workers, then the
-// fixed-order merge (AbsorbShard into controllers[socket], elapsed/requests
-// fold, telemetry). Fails without touching `controllers` if the dispatch
-// fault point fires; fails after a full merge if the conservation check —
-// sum of per-shard requests == `expected_requests` — does not hold.
-Result<ShardedEngineResult> RunOnBatches(const ShardPlan& plan, const DecodeBatch& batch,
-                                         uint64_t expected_requests,
-                                         std::span<MemoryController* const> controllers,
-                                         const ShardedEngineConfig& config);
+namespace sharded_internal {
 
 // The fixed-order merge shared by every sharded serve path: walks shards in
 // ascending index (socket-major, then channel block) on the calling thread,
@@ -352,57 +280,12 @@ Result<ShardedEngineResult> MergeShards(const ShardPlan& plan,
 
 }  // namespace sharded_internal
 
-// Forward declaration: RunShardedClosedLoopOver delegates its single-worker
-// case to the fused path (defined below).
-template <typename ForEachCmd>
-Result<ShardedEngineResult> RunShardedFused(uint64_t expected_requests, ForEachCmd&& for_each,
-                                            std::span<MemoryController* const> controllers,
-                                            const ShardedEngineConfig& config);
-
-// Serves `count` requests pulled one at a time from `next` (semantics as in
-// RunClosedLoopOver). With one worker (config.threads <= 1) the batch
-// materialization buys nothing — each request decodes and feeds its shard's
-// closed loop directly via the fused path, which is bit-identical by
-// construction. With more workers a serial DecodeBatch partition pass stages
-// the stream, then the shards are served in parallel and merged in fixed
-// order. Controllers are indexed by socket and receive the shards'
-// statistics in shard order.
-template <typename NextRequest>
-Result<ShardedEngineResult> RunShardedClosedLoopOver(
-    uint64_t count, NextRequest&& next, std::span<MemoryController* const> controllers,
-    const ShardedEngineConfig& config) {
-  SILOZ_CHECK(!controllers.empty());
-  if (config.threads <= 1) {
-    return RunShardedFused(
-        count,
-        [&](auto&& emit) {
-          for (uint64_t i = 0; i < count; ++i) {
-            const MemRequest& request = next();
-            SILOZ_DCHECK(request.address.socket < controllers.size());
-            emit(controllers[request.address.socket]->DecodeCmd(request),
-                 request.address.socket);
-          }
-        },
-        controllers, config);
-  }
-  const ShardPlan plan(controllers[0]->geometry(), static_cast<uint32_t>(controllers.size()),
-                       config.channels_per_shard);
-  SILOZ_FAULT_POINT("alloc.shard.partition");
-  DecodeBatch batch(plan.shard_count());
-  batch.Reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    const MemRequest& request = next();
-    SILOZ_DCHECK(request.address.socket < controllers.size());
-    batch.Stage(plan.ShardOf(request.address.socket, request.address.channel),
-                controllers[request.address.socket]->DecodeCmd(request));
-  }
-  batch.Seal();
-  return sharded_internal::RunOnBatches(plan, batch, count, controllers, config);
-}
-
-// Serves a materialized trace. One worker: fused decode-and-serve, no batch
-// materialization. More: DecodeBatch counting partition + parallel serve +
-// ordered merge. Bit-identical either way.
+// Serves a materialized trace. One worker (config.threads <= 1): the fused
+// path, each request decoded and fed to its shard's server in trace order.
+// More: PartitionByShard, then one ShardServer per shard on a pool of
+// config.threads workers decoding its subsequence inline, then the ordered
+// merge. Bit-identical either way. Zero channels_per_shard or
+// bank_groups_per_queue is kInvalidArgument.
 Result<ShardedEngineResult> RunShardedClosedLoop(std::span<const MemRequest> requests,
                                                  std::span<MemoryController* const> controllers,
                                                  const ShardedEngineConfig& config);
@@ -412,21 +295,24 @@ Result<ShardedEngineResult> RunShardedClosedLoop(std::span<const MemRequest> req
 // commands in trace order (TraceStreamer::ForEachDecoded is the canonical
 // producer); each command feeds its shard's closed loop the moment it is
 // produced, with no per-shard batch materialization in between. Inherently
-// single-threaded — the producer is serial — so it is the fast path when
-// the caller parallelizes at a coarser level (e.g. the experiment runner's
-// trial loop) and config.threads is 1. Bit-identical to the batched paths:
-// each shard sees the same per-shard subsequence through the same
-// ShardServer arithmetic, and the merge is the same fixed-order fold.
-// `expected_requests` must equal the number of commands emitted (the
-// conservation check fails the run otherwise).
+// single-threaded — the producer is serial — so it is the path whenever the
+// caller parallelizes at a coarser level (e.g. the experiment runner's trial
+// loop). Bit-identical to the parallel trace serve: each shard sees the
+// same per-shard subsequence through the same ShardServer arithmetic, and
+// the merge is the same fixed-order fold. `expected_requests` must equal
+// the number of commands emitted (the conservation check fails the run
+// otherwise). Zero channels_per_shard or bank_groups_per_queue is
+// kInvalidArgument.
 template <typename ForEachCmd>
 Result<ShardedEngineResult> RunShardedFused(uint64_t expected_requests, ForEachCmd&& for_each,
                                             std::span<MemoryController* const> controllers,
                                             const ShardedEngineConfig& config) {
   SILOZ_CHECK(!controllers.empty());
+  SILOZ_RETURN_IF_ERROR(ValidateShardKnobs(config.channels_per_shard,
+                                           config.bank_groups_per_queue));
   const ShardPlan plan(controllers[0]->geometry(), static_cast<uint32_t>(controllers.size()),
                        config.channels_per_shard);
-  // Both fault points of the batched pipeline fire up front: an injected
+  // Both fault points of the parallel serve fire up front: an injected
   // failure must leave the absorb-target controllers untouched here too.
   SILOZ_FAULT_POINT("alloc.shard.partition");
   SILOZ_FAULT_POINT("alloc.shard.dispatch");

@@ -1,14 +1,12 @@
 #include "src/sim/experiment.h"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
 
 #include "src/base/rng.h"
 #include "src/base/thread_pool.h"
-#include "src/memctl/engine.h"
 #include "src/memctl/sharded_engine.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -22,7 +20,7 @@ struct TrialOutcome {
   double bandwidth_gibs = 0.0;
   double row_hit_rate = 0.0;
   std::vector<uint64_t> flip_phys;       // sorted
-  std::vector<uint64_t> shard_requests;  // shard-plan order; empty when serial
+  std::vector<uint64_t> shard_requests;  // shard-plan order
 };
 
 // Workload identity + hypervisor variant tag mixed into the jitter stream so
@@ -39,92 +37,38 @@ uint64_t VariantTag(const RunnerConfig& config, const WorkloadSpec& spec) {
   return tag;
 }
 
-// Raw serve numbers for one trial's trace, before jitter is applied.
-struct ServeOutcome {
-  double elapsed_ns = 0.0;
-  uint64_t requests = 0;
-  std::vector<uint64_t> shard_requests;  // shard-plan order; empty when serial
-};
-
-// Serves one trial's trace through the engine selected by
-// config.channels_per_shard (0 = serial reference, >= 1 = sharded;
-// DESIGN.md §13). `controllers` is the per-socket absorb-target set —
-// trial-private in timing mode, the machine's own in fault mode. When
-// `materialized` is non-null the trace is generated up front and returned
-// through it (fault mode consumes it a second time in ReplayDisturbance);
-// otherwise timing-only runs may stream generation straight into the serve
-// loop.
-Result<ServeOutcome> ServeTrial(const RunnerConfig& config, const WorkloadSpec& spec,
-                                const AddressDecoder& decoder, const Vm& vm,
-                                uint64_t trace_seed,
-                                std::span<MemoryController* const> controllers,
-                                std::vector<MemRequest>* materialized) {
-  EngineConfig engine;
-  engine.max_outstanding = spec.mlp;
-  engine.compute_ns_per_access = spec.compute_ns_per_access;
-
-  if (config.channels_per_shard >= 1) {
-    ShardedEngineConfig sharded;
-    sharded.engine = engine;
-    sharded.channels_per_shard = config.channels_per_shard;
-    sharded.bank_groups_per_queue = config.bank_groups_per_queue;
-    // Trial-level parallelism already saturates the run's pool; nested shard
-    // workers would only oversubscribe. Thread counts never change results.
-    sharded.threads = 1;
-    Result<ShardedEngineResult> result = [&]() -> Result<ShardedEngineResult> {
-      if (materialized != nullptr) {
-        *materialized =
-            GenerateTrace(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
-        return RunShardedClosedLoop(*materialized, controllers, sharded);
-      }
-      // Timing-only runs take the fused path: the streamer emits
-      // pre-resolved commands straight into the per-shard closed loops —
-      // no MemRequest materialization, no per-shard batch vectors.
-      TraceStreamer stream(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
-      return RunShardedFused(
-          stream.size(), [&stream](auto&& feed) { stream.ForEachDecoded(feed); },
-          controllers, sharded);
-    }();
-    SILOZ_RETURN_IF_ERROR(result);
-    ServeOutcome outcome;
-    outcome.elapsed_ns = result->elapsed_ns;
-    outcome.requests = result->requests;
-    outcome.shard_requests.reserve(result->shards.size());
-    for (const ShardTelemetry& shard : result->shards) {
-      outcome.shard_requests.push_back(shard.requests);
-    }
-    return outcome;
-  }
-
-  // Serial reference engine. A trace that fits in the last-level cache
-  // replays faster split into a tight generation loop plus a tight service
-  // loop; one that spills to DRAM is better fused, which skips the
-  // round-trip through memory entirely. Either path yields the identical
-  // request sequence (TraceStreamer is the single implementation), so this
-  // is purely a throughput heuristic.
-  constexpr uint64_t kFuseThresholdBytes = 24ull << 20;
-  EngineResult served;
+// Serves one trial's trace through the shard engine (DESIGN.md §13/§15).
+// `controllers` is the per-socket absorb-target set — trial-private in
+// timing mode, the machine's own in fault mode. When `materialized` is
+// non-null the trace is generated up front and returned through it (fault
+// mode consumes it a second time in ReplayDisturbance); otherwise
+// generation streams straight into the per-shard servers.
+Result<ShardedEngineResult> ServeTrial(const RunnerConfig& config, const WorkloadSpec& spec,
+                                       const AddressDecoder& decoder, const Vm& vm,
+                                       uint64_t trace_seed,
+                                       std::span<MemoryController* const> controllers,
+                                       std::vector<MemRequest>* materialized) {
+  ShardedEngineConfig sharded;
+  sharded.engine.max_outstanding = spec.mlp;
+  sharded.engine.compute_ns_per_access = spec.compute_ns_per_access;
+  sharded.channels_per_shard = config.channels_per_shard;
+  sharded.bank_groups_per_queue = config.bank_groups_per_queue;
+  // Trial-level parallelism already saturates the run's pool; nested shard
+  // workers would only oversubscribe. Thread counts never change results.
+  sharded.threads = 1;
   if (materialized != nullptr) {
-    *materialized =
-        GenerateTrace(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
-    served = RunClosedLoop(*materialized, controllers, engine);
-  } else if (spec.accesses * sizeof(MemRequest) > kFuseThresholdBytes) {
-    TraceStreamer stream(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
-    served = RunClosedLoopOver(
-        stream.size(), [&stream]() -> const MemRequest& { return stream.Next(); },
-        controllers, engine);
-  } else {
-    const std::vector<MemRequest> trace =
-        GenerateTrace(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
-    served = RunClosedLoop(trace, controllers, engine);
+    *materialized = GenerateTrace(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
+    return RunShardedClosedLoop(*materialized, controllers, sharded);
   }
-  ServeOutcome outcome;
-  outcome.elapsed_ns = served.elapsed_ns;
-  outcome.requests = served.requests;
-  return outcome;
+  // The streamer emits pre-resolved commands straight into the per-shard
+  // closed loops: no MemRequest materialization at all.
+  TraceStreamer stream(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
+  return RunShardedFused(
+      stream.size(), [&stream](auto&& feed) { stream.ForEachDecoded(feed); }, controllers,
+      sharded);
 }
 
-TrialOutcome FinishTrial(const RunnerConfig& config, const ServeOutcome& served,
+TrialOutcome FinishTrial(const RunnerConfig& config, const ShardedEngineResult& served,
                          const MemoryController& vm_controller, Rng& noise_rng) {
   TrialOutcome outcome;
   const double jitter = 1.0 + config.os_noise_frac * noise_rng.NextGaussian();
@@ -132,7 +76,10 @@ TrialOutcome FinishTrial(const RunnerConfig& config, const ServeOutcome& served,
   outcome.bandwidth_gibs = static_cast<double>(served.requests) * 64.0 /
                            outcome.elapsed_ns * (1e9 / (1024.0 * 1024.0 * 1024.0));
   outcome.row_hit_rate = vm_controller.stats().row_hit_rate();
-  outcome.shard_requests = served.shard_requests;
+  outcome.shard_requests.reserve(served.shards.size());
+  for (const ShardTelemetry& shard : served.shards) {
+    outcome.shard_requests.push_back(shard.requests);
+  }
   return outcome;
 }
 
@@ -153,7 +100,7 @@ Result<TrialOutcome> RunTimingTrial(const RunnerConfig& config, const WorkloadSp
     controllers.push_back(owned.back().get());
   }
   const uint64_t trace_seed = config.seed + trial * 7919;
-  Result<ServeOutcome> served =
+  Result<ShardedEngineResult> served =
       ServeTrial(config, spec, decoder, vm, trace_seed, controllers, nullptr);
   SILOZ_RETURN_IF_ERROR(served);
   return FinishTrial(config, *served, *controllers[config.vm.socket], noise_rng);
@@ -183,7 +130,7 @@ Result<TrialOutcome> RunFaultTrial(const RunnerConfig& config, const WorkloadSpe
   const std::vector<MemoryController*> controllers = machine.controllers();
   const uint64_t trace_seed = config.seed + trial * 7919;
   std::vector<MemRequest> trace;
-  Result<ServeOutcome> served =
+  Result<ShardedEngineResult> served =
       ServeTrial(config, spec, machine.decoder(), **vm, trace_seed, controllers, &trace);
   SILOZ_RETURN_IF_ERROR(served);
 
@@ -259,14 +206,9 @@ Result<RunMeasurement> MergeTrialOutcomes(std::span<const Result<TrialOutcome>> 
     measurement.row_hit_rate = outcome.row_hit_rate;
     measurement.flip_phys.insert(measurement.flip_phys.end(), outcome.flip_phys.begin(),
                                  outcome.flip_phys.end());
-    if (!outcome.shard_requests.empty()) {
-      if (measurement.shard_requests.empty()) {
-        measurement.shard_requests.assign(outcome.shard_requests.size(), 0);
-      }
-      SILOZ_CHECK(measurement.shard_requests.size() == outcome.shard_requests.size());
-      for (size_t shard = 0; shard < outcome.shard_requests.size(); ++shard) {
-        measurement.shard_requests[shard] += outcome.shard_requests[shard];
-      }
+    measurement.shard_requests.resize(outcome.shard_requests.size(), 0);
+    for (size_t shard = 0; shard < outcome.shard_requests.size(); ++shard) {
+      measurement.shard_requests[shard] += outcome.shard_requests[shard];
     }
   }
   return measurement;
@@ -329,49 +271,30 @@ void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace,
 
   // Open-row tracker, flat over every bank in the machine (-1 = closed).
   // Shards touch channel-disjoint index ranges (SocketBankIndex is
-  // channel-major), so one vector serves both the serial and sharded paths.
+  // channel-major), so concurrent shards never share an entry.
   std::vector<int64_t> open_rows(geometry.total_banks(), -1);
 
-  // Timestamps come from the request's *global trace index*, not from an
-  // accumulated clock, so a shard replaying its subsequence computes the
-  // same per-ACT times the serial replay would — the property that makes
-  // the two paths flip-identical. The machine clock itself is not advanced.
-  auto replay_one = [&](uint64_t index) {
-    const MediaAddress& media = trace[index].address;
-    int64_t& open_row =
-        open_rows[media.socket * banks_per_socket + SocketBankIndex(geometry, media)];
-    if (open_row == static_cast<int64_t>(media.row)) {
-      return;  // row hit: buffer reuse, no device ACT
-    }
-    open_row = media.row;
-    machine.device(media.socket, media.channel, media.dimm)
-        .Activate(media.rank, media.bank, media.row, clock0 + index * act_cost);
-  };
-
-  if (channels_per_shard == 0) {
-    for (uint64_t index = 0; index < trace.size(); ++index) {
-      replay_one(index);
-    }
-    return;
-  }
-
-  // Sharded replay: partition trace indices by (socket, channel block), then
-  // replay each shard's subsequence in trace order. Devices and open-row
-  // entries are channel-disjoint across shards, so shard replays commute —
-  // concurrent workers produce the flips the serial replay would.
+  // Partition trace indices by (socket, channel block) — the serve engine's
+  // decomposition — and replay each shard's subsequence in trace order.
+  // Devices and open-row entries are channel-disjoint across shards, so
+  // shard replays commute. Timestamps come from the request's *global trace
+  // index*, not from an accumulated clock, so every shard computes the
+  // per-ACT times a trace-order replay would: the flip census is the same
+  // for every channels_per_shard and thread count. The machine clock itself
+  // is not advanced.
   const ShardPlan plan(geometry, geometry.sockets, channels_per_shard);
-  SILOZ_CHECK(trace.size() <= std::numeric_limits<uint32_t>::max());
-  std::vector<std::vector<uint32_t>> shard_indices(plan.shard_count());
-  for (auto& indices : shard_indices) {
-    indices.reserve(trace.size() / plan.shard_count() + 16);
-  }
-  for (uint32_t index = 0; index < trace.size(); ++index) {
-    const MediaAddress& media = trace[index].address;
-    shard_indices[plan.ShardOf(media.socket, media.channel)].push_back(index);
-  }
+  const ShardPartition partition = PartitionByShard(plan, trace);
   auto replay_shard = [&](uint64_t shard) {
-    for (uint32_t index : shard_indices[shard]) {
-      replay_one(index);
+    for (const uint32_t index : partition.Shard(static_cast<uint32_t>(shard))) {
+      const MediaAddress& media = trace[index].address;
+      int64_t& open_row =
+          open_rows[media.socket * banks_per_socket + SocketBankIndex(geometry, media)];
+      if (open_row == static_cast<int64_t>(media.row)) {
+        continue;  // row hit: buffer reuse, no device ACT
+      }
+      open_row = media.row;
+      machine.device(media.socket, media.channel, media.dimm)
+          .Activate(media.rank, media.bank, media.row, clock0 + index * act_cost);
     }
   };
   if (threads <= 1) {
@@ -446,6 +369,8 @@ Result<RunMeasurement> RunWorkloadOn(const RunnerConfig& config, const WorkloadS
 }  // namespace
 
 Result<RunMeasurement> RunWorkload(const RunnerConfig& config, const WorkloadSpec& spec) {
+  SILOZ_RETURN_IF_ERROR(
+      ValidateShardKnobs(config.channels_per_shard, config.bank_groups_per_queue));
   return RunWorkloadOn(config, spec, nullptr);
 }
 

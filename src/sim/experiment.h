@@ -46,21 +46,19 @@ struct RunnerConfig {
   // Worker threads for the trial loop: 0 = $SILOZ_THREADS or hardware
   // concurrency, 1 = legacy serial path. Any value yields identical results.
   uint32_t threads = 0;
-  // Channel sharding of the engine (DESIGN.md §13). 0 = serial reference
-  // engine: every channel coupled through one global MLP window. N >= 1 =
-  // sharded engine: each block of N channels is an independent command queue
-  // with its own MLP window, and — in fault mode — its own device replay
-  // shard. Part of the *model* configuration: reported times depend on this
-  // knob, but never on `threads` (the sharded decomposition is fixed by the
-  // geometry, not by the worker count).
+  // Channel sharding of the engine (DESIGN.md §13): each block of N >= 1
+  // channels is an independent command-queue shard and — in fault mode — its
+  // own device replay shard. Part of the *model* configuration: reported
+  // times depend on this knob, but never on `threads` (the decomposition is
+  // fixed by the geometry, not by the worker count). 0 is kInvalidArgument.
   uint32_t channels_per_shard = 1;
   // Sub-channel decomposition of each shard into per-bank-group command
-  // queues (sharded engine only; DESIGN.md §15). 0 = one completion window
-  // per shard (the PR7 shape). N >= 1 = each block of N bank groups owns an
+  // queues (DESIGN.md §15): each block of N >= 1 bank groups owns an
   // independent command queue and window under the shard's issue cursor.
   // Like channels_per_shard this is *model* configuration: completion times
-  // depend on it, invariant censuses and thread counts never do.
-  uint32_t bank_groups_per_queue = 0;
+  // depend on it, invariant censuses and thread counts never do. 0 is
+  // kInvalidArgument.
+  uint32_t bank_groups_per_queue = 1;
   // Run-to-run system jitter applied multiplicatively to elapsed time
   // (scheduler/interrupt noise a real host exhibits); deterministic in seed.
   double os_noise_frac = 0.0015;
@@ -90,9 +88,8 @@ struct RunMeasurement {
   // Fault mode only: flipped physical addresses, sorted within each trial
   // and concatenated in trial order.
   std::vector<uint64_t> flip_phys;
-  // Sharded engine only (channels_per_shard >= 1): requests served per
-  // shard, summed across trials, in shard-plan order (socket-major, then
-  // channel block). Empty for the serial reference engine.
+  // Requests served per shard, summed across trials, in shard-plan order
+  // (socket-major, then channel block).
   std::vector<uint64_t> shard_requests;
   // Scheduler/timing metrics of the trial loop ("trials" phase).
   PoolPhaseMetrics pool;
@@ -116,7 +113,8 @@ Status ApplyPlatform(RunnerConfig& config, std::string_view platform,
 // above). In timing mode the machine + hypervisor boot once and trials share
 // only their immutable state (decoder, VM regions), each serving its trace
 // through trial-private controllers; fault mode boots per trial because the
-// disturbance devices accumulate per-trial state.
+// disturbance devices accumulate per-trial state. A zero channels_per_shard
+// or bank_groups_per_queue is kInvalidArgument.
 Result<RunMeasurement> RunWorkload(const RunnerConfig& config, const WorkloadSpec& spec);
 
 // Replays a request trace's activation stream into a fault-tracking
@@ -125,13 +123,13 @@ Result<RunMeasurement> RunWorkload(const RunnerConfig& config, const WorkloadSpe
 // (row hits reuse the buffer and disturb nothing). ACT timestamps derive
 // from the request's global trace index (machine clock + index * act_cost),
 // so a channel shard can compute its own timestamps without global
-// coordination — which is what makes the sharded replay (channels_per_shard
-// >= 1, shards served on `threads` workers over channel-disjoint devices)
-// flip-identical to the serial one (channels_per_shard == 0) by
-// construction. Deterministic in the trace alone; the machine clock itself
-// is not advanced.
+// coordination. The trace is partitioned like the serve engine's
+// (PartitionByShard; channels_per_shard >= 1, 0 CHECK-fails in ShardPlan)
+// and the shards replay on `threads` workers over channel-disjoint devices,
+// flip-identical to a trace-order replay by construction. Deterministic in the trace alone; the
+// machine clock itself is not advanced.
 void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace,
-                       uint32_t channels_per_shard = 0, uint32_t threads = 1);
+                       uint32_t channels_per_shard = 1, uint32_t threads = 1);
 
 // One point of a sweep grid: a full runner configuration plus a workload.
 struct GridPoint {

@@ -7,7 +7,7 @@
 #include "src/base/rng.h"
 #include "src/base/units.h"
 #include "src/memctl/controller.h"
-#include "src/memctl/engine.h"
+#include "tests/support/serial_engine.h"
 
 namespace siloz {
 namespace {

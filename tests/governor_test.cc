@@ -5,8 +5,8 @@
 #include "src/addr/decoder.h"
 #include "src/base/units.h"
 #include "src/memctl/controller.h"
-#include "src/memctl/engine.h"
 #include "src/siloz/mediated_governor.h"
+#include "tests/support/serial_engine.h"
 
 namespace siloz {
 namespace {

@@ -1,4 +1,5 @@
-// Serial-vs-sharded differentials over the PlatformDecoder registry.
+// Serial-oracle-vs-shard-engine differentials over the PlatformDecoder
+// registry.
 //
 // The sharded engine's partition argument (DESIGN.md §13) is
 // platform-independent — it holds for any channel count and any decoder
@@ -8,7 +9,7 @@
 // geometries: zen has 2 channels per socket on one socket, ddr5 has 8.
 //
 // Three claims per platform:
-//  1. shard-invariant counts equal the serial reference for every sharding;
+//  1. shard-invariant counts equal the serial oracle for every sharding;
 //  2. the sharded engine is bit-identical across worker counts 1/2/8 —
 //     the determinism contract, per platform;
 //  3. experiment-level: RunWorkload under ApplyPlatform is bit-identical
@@ -30,6 +31,8 @@
 #include "src/memctl/sharded_engine.h"
 #include "src/obs/metrics.h"
 #include "src/sim/experiment.h"
+#include "tests/support/replay_oracle.h"
+#include "tests/support/serial_engine.h"
 
 namespace siloz {
 namespace {
@@ -227,27 +230,33 @@ TEST(PlatformShardedTest, RunWorkloadConservesAndIsBitIdenticalPerPlatform) {
   }
 }
 
-// Fault-mode flip identity per platform: the disturbance replay census must
-// not depend on the sharding, under each platform's remap chain and TRR
-// generation defaults.
+// Fault-mode flip identity per platform: the sharded disturbance replay
+// must leave a trace-order replay's flip census for every sharding and worker
+// count, under each platform's geometry and remap chain.
 TEST(PlatformShardedTest, FaultReplayFlipCensusMatchesSerialPerPlatform) {
   for (const char* name : {"zen", "ddr5"}) {  // the non-Skylake channel counts
-    WorkloadSpec spec = *FindWorkload("redis-a");
-    spec.accesses = 40000;
-    RunnerConfig config;
-    config.trials = 2;
-    config.vm.memory_bytes = 3ull << 30;
-    config.fault_tracking = true;
-    ASSERT_TRUE(ApplyPlatform(config, name).ok()) << name;
+    RunnerConfig runner;
+    ASSERT_TRUE(ApplyPlatform(runner, name).ok()) << name;
+    MachineConfig base;
+    base.geometry = runner.geometry;
+    base.platform = runner.platform;
+    base.dimm_profiles = runner.dimm_profiles;
+    const MachineConfig config = FragileFaultMachine(base);
 
-    std::vector<std::vector<uint64_t>> censuses;
-    for (uint32_t channels_per_shard : {0u, 1u}) {
-      config.channels_per_shard = channels_per_shard;
-      Result<RunMeasurement> run = RunWorkload(config, spec);
-      ASSERT_TRUE(run.ok()) << name << " channels_per_shard=" << channels_per_shard;
-      censuses.push_back(std::move(run->flip_phys));
+    Machine reference(config);
+    const std::vector<MemRequest> trace = HammerTrace(config.geometry, 0x2E9A, 6000);
+    ReplayInTraceOrder(reference, trace);
+    const std::vector<uint64_t> expected = DrainFlipPhys(reference);
+    ASSERT_FALSE(expected.empty()) << name << ": the hammer trace must flip bits";
+
+    for (const uint32_t channels_per_shard : {1u, 3u}) {
+      for (const uint32_t threads : {1u, 4u}) {
+        Machine machine(config);
+        ReplayDisturbance(machine, trace, channels_per_shard, threads);
+        EXPECT_EQ(DrainFlipPhys(machine), expected)
+            << name << " cps=" << channels_per_shard << " threads=" << threads;
+      }
     }
-    EXPECT_EQ(censuses[1], censuses[0]) << name << ": sharded flips != serial flips";
   }
 }
 

@@ -25,6 +25,7 @@
 #include "src/addr/decoder.h"
 #include "src/base/rng.h"
 #include "src/memctl/sharded_engine.h"
+#include "tests/support/serial_engine.h"
 
 namespace siloz {
 namespace {
@@ -36,18 +37,14 @@ EngineConfig TestEngineConfig() {
   return config;
 }
 
-// Serves a deterministic stream confined to `channel` into a fresh
-// controller, giving each "shard" a distinct, channel-disjoint footprint.
-std::unique_ptr<MemoryController> ServeChannelShard(const DramGeometry& geometry,
-                                                    uint32_t channel, uint64_t seed,
-                                                    uint64_t count = 20000,
-                                                    uint32_t bank_groups_per_queue = 0) {
+// A deterministic socket-0 stream confined to `channel`.
+std::vector<MemRequest> ChannelStream(const DramGeometry& geometry, uint32_t channel,
+                                      uint64_t seed, uint64_t count) {
   const SkylakeDecoder decoder(geometry);
-  auto controller = std::make_unique<MemoryController>(geometry, 0);
-  ShardServer server(*controller, TestEngineConfig(), bank_groups_per_queue, channel,
-                     /*channels=*/1);
   Rng rng(seed);
   const uint64_t lines = geometry.total_bytes() / kCacheLineBytes;
+  std::vector<MemRequest> stream;
+  stream.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     // Redirect a random address onto the target channel; every other
     // coordinate stays randomized.
@@ -58,7 +55,26 @@ std::unique_ptr<MemoryController> ServeChannelShard(const DramGeometry& geometry
     request.address = address;
     request.is_write = rng.NextBernoulli(0.25);
     request.source_socket = 0;
+    stream.push_back(request);
+  }
+  return stream;
+}
+
+// Serves ChannelStream(channel) into a fresh controller through one
+// ShardServer, giving each "shard" a distinct, channel-disjoint footprint.
+std::unique_ptr<MemoryController> ServeChannelShard(const DramGeometry& geometry,
+                                                    uint32_t channel, uint64_t seed,
+                                                    uint64_t count = 20000,
+                                                    uint32_t bank_groups_per_queue = 1,
+                                                    EngineResult* served = nullptr) {
+  auto controller = std::make_unique<MemoryController>(geometry, 0);
+  ShardServer server(*controller, TestEngineConfig(), bank_groups_per_queue, channel,
+                     /*channels=*/1);
+  for (const MemRequest& request : ChannelStream(geometry, channel, seed, count)) {
     server.Feed(controller->DecodeCmd(request));
+  }
+  if (served != nullptr) {
+    *served = server.result();
   }
   return controller;
 }
@@ -178,11 +194,8 @@ TEST(ShardMergePropertyTest, ChannelShardsHaveDisjointBankGroupCensuses) {
 }
 
 TEST(ShardMergePropertyTest, ShardQueueCountAlgebra) {
-  // DESIGN.md §15: queues = ceil(banks / (kBanksPerGroup * bgpq)), with
-  // bgpq == 0 reserved for the legacy single-window shape.
+  // DESIGN.md §15: queues = ceil(banks / (kBanksPerGroup * bgpq)), bgpq >= 1.
   const DramGeometry geometry;  // 32 banks per channel by default
-  EXPECT_EQ(ShardQueueCount(geometry, 1, 0), 1u);
-  EXPECT_EQ(ShardQueueCount(geometry, geometry.channels_per_socket, 0), 1u);
   EXPECT_EQ(ShardQueueCount(geometry, 1, 1), geometry.banks_per_channel() / kBanksPerGroup);
   for (uint32_t channels : {1u, 2u, 3u, 6u}) {
     for (uint32_t bgpq : {1u, 2u, 4u, 8u}) {
@@ -206,8 +219,9 @@ TEST(ShardMergePropertyTest, BankGroupQueueRegroupingPreservesInvariantCounts) {
   // (busy_ns, latency, ref_tail_hits) are deliberately excluded — they are
   // exactly what the regrouping is allowed to move.
   const DramGeometry geometry;
+  const uint32_t whole_shard = geometry.banks_per_channel() / kBanksPerGroup;
   std::vector<ControllerStats> stats;
-  for (const uint32_t bgpq : {0u, 1u, 2u, 4u}) {
+  for (const uint32_t bgpq : {1u, 2u, 4u, whole_shard}) {
     stats.push_back(ServeChannelShard(geometry, 1, 77, 20000, bgpq)->stats());
   }
   for (size_t i = 1; i < stats.size(); ++i) {
@@ -221,16 +235,25 @@ TEST(ShardMergePropertyTest, BankGroupQueueRegroupingPreservesInvariantCounts) {
   }
 }
 
-TEST(ShardMergePropertyTest, SingleQueueShardBitIdenticalToLegacyWindow) {
-  // When bank_groups_per_queue covers the whole shard, the split is one
-  // queue — structurally the legacy single window — so even the timing
-  // fields must match bit-for-bit.
+TEST(ShardMergePropertyTest, WholeShardQueueMatchesSerialOracleBitForBit) {
+  // A single-channel stream through one whole-shard queue is the serial
+  // oracle's loop (one window, one issue cursor, one controller), so every
+  // ControllerStats field — timing included — and the elapsed time must
+  // match bit for bit.
   const DramGeometry geometry;
   const uint32_t whole_shard = geometry.banks_per_channel() / kBanksPerGroup;
-  auto legacy = ServeChannelShard(geometry, 0, 5, 20000, 0);
-  auto one_queue = ServeChannelShard(geometry, 0, 5, 20000, whole_shard);
-  EXPECT_TRUE(StatsBitIdentical(legacy->stats(), one_queue->stats()))
-      << "whole-shard queue diverged from the legacy window";
+  ASSERT_EQ(ShardQueueCount(geometry, 1, whole_shard), 1u);
+  EngineResult sharded;
+  auto one_queue = ServeChannelShard(geometry, 0, 5, 20000, whole_shard, &sharded);
+
+  MemoryController serial_controller(geometry, 0);
+  MemoryController* serial_controllers[] = {&serial_controller};
+  const EngineResult serial =
+      RunClosedLoop(ChannelStream(geometry, 0, 5, 20000), serial_controllers, TestEngineConfig());
+  EXPECT_TRUE(StatsBitIdentical(serial_controller.stats(), one_queue->stats()))
+      << "whole-shard queue diverged from the serial oracle";
+  EXPECT_EQ(sharded.elapsed_ns, serial.elapsed_ns);
+  EXPECT_EQ(sharded.requests, serial.requests);
 }
 
 TEST(ShardMergePropertyTest, ResultFoldIsElapsedMaxRequestsSum) {

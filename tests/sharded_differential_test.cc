@@ -1,12 +1,12 @@
-// Serial-vs-sharded differential harness for the channel-sharded engine
-// (src/memctl/sharded_engine.h, DESIGN.md §13).
+// Differential harness for the shard engine (src/memctl/sharded_engine.h,
+// DESIGN.md §13) against the serial oracle (tests/support/serial_engine.h).
 //
 // Three claims are pinned here, each over >= 100k-command randomized streams
 // on every platform shape (Skylake DDR4, DDR5, SNC-2, linear):
 //
 //  1. Shard-invariant counts — requests, reads, writes, row hits/misses,
 //     ACTs, PREs, and the per-bank-group command census — are equal between
-//     the serial reference engine and every sharding of the same stream.
+//     the serial oracle and every sharding of the same stream.
 //     Per-bank command subsequences are identical under the channel
 //     partition, so these counts cannot legally differ. (Completion *times*
 //     differ by design: per-channel queues vs one global MLP window.)
@@ -16,8 +16,9 @@
 //     and the model-domain metrics census — the DESIGN.md §8 determinism
 //     contract extended to shards.
 //
-//  3. The two sharded serve paths — batched (RunShardedClosedLoop) and fused
-//     streaming (RunShardedFused) — are bit-identical to each other.
+//  3. The two entry points — fused streaming (RunShardedFused) and the
+//     partitioned multi-worker trace serve (RunShardedClosedLoop at
+//     threads > 1) — are bit-identical to each other.
 //
 // Claims 1 and 2 are additionally pinned under the §15 sub-channel
 // decomposition (bank_groups_per_queue >= 1): queue regrouping never
@@ -25,14 +26,16 @@
 // and threads remain a pure scheduler knob with queues enabled.
 //
 // Plus the experiment-level corollaries: RunWorkload report values are
-// bit-identical across thread counts on the sharded path, and fault-mode
-// flip censuses are identical for serial (channels_per_shard = 0) and every
-// sharded replay.
+// bit-identical across thread counts, RunnerConfig{} is the one-shard-per-
+// channel, one-queue-per-bank-group model, zero knobs are rejected, and
+// ReplayDisturbance leaves the flip census of a trace-order replay for
+// every sharding and worker count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/addr/decoder.h"
@@ -40,6 +43,8 @@
 #include "src/memctl/sharded_engine.h"
 #include "src/obs/metrics.h"
 #include "src/sim/experiment.h"
+#include "tests/support/replay_oracle.h"
+#include "tests/support/serial_engine.h"
 
 namespace siloz {
 namespace {
@@ -146,7 +151,7 @@ void ExpectShardInvariantCountsEqual(const ControllerStats& serial,
 }
 
 // Full bitwise equality, used between runs that must be identical (thread
-// counts, fused vs batched).
+// counts, fused vs multi-worker).
 void ExpectStatsBitIdentical(const ControllerStats& a, const ControllerStats& b,
                              const std::string& label) {
   EXPECT_EQ(a.requests, b.requests) << label;
@@ -203,7 +208,7 @@ TEST(ShardedDifferentialTest, SubShardedInvariantCountsMatchSerialOnAllPlatforms
   // subsequences are a pure function of the channel partition, and bank-group
   // queues subdivide *within* a shard without reordering ServeDecoded calls —
   // so for every queue shape the invariant counts and the per-bank-group
-  // census still match the serial reference exactly.
+  // census still match the serial oracle exactly.
   for (const Platform& platform : AllPlatforms()) {
     const std::vector<MemRequest> stream = MakeStream(platform, 0x5B5B);
     ControllerSet serial(platform.geometry);
@@ -246,7 +251,7 @@ TEST(ShardedDifferentialTest, BitIdenticalAcrossThreadCountsWithBankGroupQueues)
   // Claim 2 with sub-channel queues on: bank_groups_per_queue is a model
   // knob (it moves completion times), threads stay a scheduler knob — the
   // results and the model-domain census must be byte-identical whether the
-  // queues are served fused (threads = 1) or batched in parallel.
+  // queues are served fused (threads = 1) or partitioned in parallel.
   for (const Platform& platform : AllPlatforms()) {
     const std::vector<MemRequest> stream = MakeStream(platform, 0xBEEF + 15);
     std::vector<ShardedEngineResult> results;
@@ -330,17 +335,20 @@ TEST(ShardedDifferentialTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ShardedDifferentialTest, FusedMatchesBatchedBitForBit) {
+TEST(ShardedDifferentialTest, FusedMatchesMultiWorkerBitForBit) {
   for (const Platform& platform : AllPlatforms()) {
     const std::vector<MemRequest> stream = MakeStream(platform, 0xFA57);
     ShardedEngineConfig config;
     config.engine = TestEngineConfig();
     config.channels_per_shard = 1;
 
-    ControllerSet batched(platform.geometry);
-    Result<ShardedEngineResult> batched_result =
-        RunShardedClosedLoop(stream, batched.ptrs, config);
-    ASSERT_TRUE(batched_result.ok()) << platform.name;
+    // threads > 1: partition + one ShardServer per shard on a pool.
+    ControllerSet parallel(platform.geometry);
+    config.threads = 4;
+    Result<ShardedEngineResult> parallel_result =
+        RunShardedClosedLoop(stream, parallel.ptrs, config);
+    ASSERT_TRUE(parallel_result.ok()) << platform.name;
+    config.threads = 1;
 
     ControllerSet fused(platform.geometry);
     Result<ShardedEngineResult> fused_result = RunShardedFused(
@@ -354,19 +362,19 @@ TEST(ShardedDifferentialTest, FusedMatchesBatchedBitForBit) {
         fused.ptrs, config);
     ASSERT_TRUE(fused_result.ok()) << platform.name;
 
-    EXPECT_EQ(fused_result->elapsed_ns, batched_result->elapsed_ns) << platform.name;
-    EXPECT_EQ(fused_result->requests, batched_result->requests) << platform.name;
-    ASSERT_EQ(fused_result->shards.size(), batched_result->shards.size());
+    EXPECT_EQ(fused_result->elapsed_ns, parallel_result->elapsed_ns) << platform.name;
+    EXPECT_EQ(fused_result->requests, parallel_result->requests) << platform.name;
+    ASSERT_EQ(fused_result->shards.size(), parallel_result->shards.size());
     for (size_t shard = 0; shard < fused_result->shards.size(); ++shard) {
       EXPECT_EQ(fused_result->shards[shard].requests,
-                batched_result->shards[shard].requests)
+                parallel_result->shards[shard].requests)
           << platform.name;
       EXPECT_EQ(fused_result->shards[shard].elapsed_ns,
-                batched_result->shards[shard].elapsed_ns)
+                parallel_result->shards[shard].elapsed_ns)
           << platform.name;
     }
-    for (size_t socket = 0; socket < batched.ptrs.size(); ++socket) {
-      ExpectStatsBitIdentical(fused.ptrs[socket]->stats(), batched.ptrs[socket]->stats(),
+    for (size_t socket = 0; socket < parallel.ptrs.size(); ++socket) {
+      ExpectStatsBitIdentical(fused.ptrs[socket]->stats(), parallel.ptrs[socket]->stats(),
                               platform.name + " socket" + std::to_string(socket));
     }
   }
@@ -425,27 +433,85 @@ TEST(ShardedDifferentialTest, RunWorkloadBitIdenticalAcrossThreads) {
   EXPECT_EQ(total, static_cast<uint64_t>(config.trials) * spec.accesses);
 }
 
-TEST(ShardedDifferentialTest, FaultReplayFlipCensusMatchesSerial) {
-  // Fault-mode flip identity: the disturbance replay partitions by channel
-  // with per-request timestamps derived from global trace indices, so the
-  // flip census cannot depend on the sharding.
+TEST(ShardedDifferentialTest, RunWorkloadDefaultsAreOneChannelAndOneBankGroup) {
+  // RunnerConfig{} must time the model the figure benches and perfbench pin
+  // explicitly: one shard per channel, one queue per bank group.
   WorkloadSpec spec = *FindWorkload("redis-a");
   spec.accesses = 60000;
-  RunnerConfig config;
-  config.trials = 2;
-  config.vm.memory_bytes = 3ull << 30;
-  config.fault_tracking = true;
-  config.dimm_profiles = {DimmProfile{}};
+  RunnerConfig defaults;
+  defaults.trials = 2;
+  defaults.vm.memory_bytes = 3ull << 30;
+  RunnerConfig pinned = defaults;
+  pinned.channels_per_shard = 1;
+  pinned.bank_groups_per_queue = 1;
 
-  std::vector<std::vector<uint64_t>> censuses;
-  for (uint32_t channels_per_shard : {0u, 1u, 3u}) {
-    config.channels_per_shard = channels_per_shard;
-    Result<RunMeasurement> run = RunWorkload(config, spec);
-    ASSERT_TRUE(run.ok()) << "channels_per_shard=" << channels_per_shard;
-    censuses.push_back(std::move(run->flip_phys));
+  Result<RunMeasurement> by_default = RunWorkload(defaults, spec);
+  Result<RunMeasurement> by_value = RunWorkload(pinned, spec);
+  ASSERT_TRUE(by_default.ok());
+  ASSERT_TRUE(by_value.ok());
+  EXPECT_EQ(by_default->elapsed_ns.mean(), by_value->elapsed_ns.mean());
+  EXPECT_EQ(by_default->elapsed_ns.stddev(), by_value->elapsed_ns.stddev());
+  EXPECT_EQ(by_default->bandwidth_gibs.mean(), by_value->bandwidth_gibs.mean());
+  EXPECT_EQ(by_default->row_hit_rate, by_value->row_hit_rate);
+  EXPECT_EQ(by_default->shard_requests, by_value->shard_requests);
+}
+
+TEST(ShardedDifferentialTest, ZeroShardKnobsAreInvalidArgument) {
+  const Platform platform{
+      "skylake_ddr4", DramGeometry{}, std::make_unique<SkylakeDecoder>(DramGeometry{})};
+  const std::vector<MemRequest> stream = MakeStream(platform, 0x2E20, 1000);
+  WorkloadSpec spec = *FindWorkload("redis-a");
+  spec.accesses = 1000;
+  for (const auto& [cps, bgpq] : {std::pair{0u, 1u}, std::pair{1u, 0u}}) {
+    const std::string label = "cps=" + std::to_string(cps) + " bgpq=" + std::to_string(bgpq);
+    for (const uint32_t threads : {1u, 4u}) {
+      ControllerSet controllers(platform.geometry);
+      ShardedEngineConfig config;
+      config.engine = TestEngineConfig();
+      config.channels_per_shard = cps;
+      config.bank_groups_per_queue = bgpq;
+      config.threads = threads;
+      Result<ShardedEngineResult> served = RunShardedClosedLoop(stream, controllers.ptrs, config);
+      ASSERT_FALSE(served.ok()) << label;
+      EXPECT_EQ(served.error().code, ErrorCode::kInvalidArgument) << label;
+      Result<ShardedEngineResult> fused =
+          RunShardedFused(0, [](auto&&) {}, controllers.ptrs, config);
+      ASSERT_FALSE(fused.ok()) << label;
+      EXPECT_EQ(fused.error().code, ErrorCode::kInvalidArgument) << label;
+      for (const MemoryController* controller : controllers.ptrs) {
+        EXPECT_EQ(controller->stats().requests, 0u) << label;
+      }
+    }
+    RunnerConfig runner;
+    runner.trials = 1;
+    runner.channels_per_shard = cps;
+    runner.bank_groups_per_queue = bgpq;
+    Result<RunMeasurement> run = RunWorkload(runner, spec);
+    ASSERT_FALSE(run.ok()) << label;
+    EXPECT_EQ(run.error().code, ErrorCode::kInvalidArgument) << label;
   }
-  EXPECT_EQ(censuses[1], censuses[0]) << "sharded(1) flips != serial flips";
-  EXPECT_EQ(censuses[2], censuses[0]) << "sharded(3) flips != serial flips";
+}
+
+TEST(ShardedDifferentialTest, FaultReplayFlipCensusMatchesSerial) {
+  // ReplayDisturbance partitions by channel block with per-ACT timestamps
+  // derived from global trace indices, so its flip census cannot depend on
+  // the sharding or the worker count: it must equal a trace-order replay on
+  // an identically built machine.
+  const MachineConfig config = FragileFaultMachine(MachineConfig{});
+  Machine reference(config);
+  const std::vector<MemRequest> trace = HammerTrace(config.geometry, 0xF11B, 6000);
+  ReplayInTraceOrder(reference, trace);
+  const std::vector<uint64_t> expected = DrainFlipPhys(reference);
+  ASSERT_FALSE(expected.empty()) << "the hammer trace must flip bits";
+
+  for (const uint32_t channels_per_shard : {1u, 3u}) {
+    for (const uint32_t threads : {1u, 4u}) {
+      Machine machine(config);
+      ReplayDisturbance(machine, trace, channels_per_shard, threads);
+      EXPECT_EQ(DrainFlipPhys(machine), expected)
+          << "cps=" << channels_per_shard << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
 // Concurrency and fault-injection stress for the sharded engine.
 //
-// The concurrency leg drives the batched sharded path with a real 8-worker
-// pool over a large multi-socket stream — the TSan CI job runs this binary
-// to prove the shard serve loop is race-free — and asserts bit-identity
-// against the single-worker run (worker count must never be observable).
+// The concurrency leg drives the partitioned multi-worker serve with a real
+// 8-worker pool over a large multi-socket stream — the TSan CI job runs this
+// binary to prove the shard serve loop is race-free — and asserts
+// bit-identity against the single-worker run (worker count must never be
+// observable).
+//
+// The replay leg does the same for the disturbance replay: ReplayDisturbance
+// on 8 workers must leave the flip census of the 1-worker run, so the TSan
+// job covers the shared trace partition (PartitionByShard) from both of its
+// callers.
 //
 // The fault-injection leg arms each of the sharded dispatch fault points
 // (alloc.shard.partition, alloc.shard.dispatch) and proves the error
@@ -21,6 +27,8 @@
 #include "src/base/fault_injector.h"
 #include "src/base/rng.h"
 #include "src/memctl/sharded_engine.h"
+#include "src/sim/experiment.h"
+#include "tests/support/replay_oracle.h"
 
 namespace siloz {
 namespace {
@@ -117,6 +125,19 @@ TEST(ShardedStressTest, RepeatedParallelRunsAgree) {
   }
 }
 
+TEST(ShardedStressTest, ReplayDisturbanceEightWorkersBitIdenticalToOne) {
+  const MachineConfig config = FragileFaultMachine(MachineConfig{});
+  std::vector<std::vector<uint64_t>> censuses;
+  for (const uint32_t threads : {1u, 8u}) {
+    Machine machine(config);
+    const std::vector<MemRequest> trace = HammerTrace(config.geometry, 0x8E9A, 6000);
+    ReplayDisturbance(machine, trace, /*channels_per_shard=*/1, threads);
+    censuses.push_back(DrainFlipPhys(machine));
+  }
+  ASSERT_FALSE(censuses[0].empty());
+  EXPECT_EQ(censuses[1], censuses[0]);
+}
+
 class ShardedFaultTest : public ::testing::Test {
  protected:
   void TearDown() override { FaultInjector::Global().Disarm(); }
@@ -158,8 +179,9 @@ TEST_F(ShardedFaultTest, DispatchFaultsPropagateAndLeaveTargetsUntouched) {
 }
 
 TEST_F(ShardedFaultTest, FusedPathFaultsMatchBatchedSemantics) {
-  // The fused streaming path declares the same two fault points up front, so
-  // an injected failure leaves its targets untouched the same way.
+  // The fused streaming path declares the same two fault points up front as
+  // the multi-worker serve, so an injected failure leaves its targets
+  // untouched the same way.
   const DramGeometry geometry;
   const std::vector<MemRequest> stream = BigStream(geometry, 0xFA12, 20000);
   ControllerSet controllers(geometry);
