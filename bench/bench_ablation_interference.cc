@@ -16,10 +16,15 @@
 
 #include "bench/bench_util.h"
 #include "src/base/check.h"
+#include "src/base/flags.h"
 #include "src/sim/colocated.h"
 
 int main(int argc, char** argv) {
   using namespace siloz;
+  uint32_t threads = 0;
+  FlagSet flags("bench_ablation_interference");
+  flags.Add("--threads", &threads, "sweep workers (0 = auto)");
+  flags.ParseOrExit(argc, argv, 2);
   bench::PrintHeader("Ablation A10: co-located tenant interference", DramGeometry{});
 
   // Two victim regimes: latency-bound (low MLP, no compute to hide misses)
@@ -70,7 +75,7 @@ int main(int argc, char** argv) {
 
   PoolPhaseMetrics metrics;
   Result<std::vector<std::vector<TenantResult>>> sweep =
-      RunColocatedSweep(scenarios, bench::ThreadsFromArgs(argc, argv), &metrics);
+      RunColocatedSweep(scenarios, threads, &metrics);
   SILOZ_CHECK(sweep.ok()) << sweep.error().ToString();
   std::fprintf(stderr, "%s\n", metrics.ToText().c_str());
 

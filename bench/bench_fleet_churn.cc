@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "src/base/flags.h"
 #include "src/sim/fleet.h"
 #include "src/sim/report.h"
 
@@ -17,7 +18,9 @@ int main(int argc, char** argv) {
   using namespace siloz;
 
   FleetConfig base;
-  base.threads = bench::ThreadsFromArgs(argc, argv);
+  FlagSet flags("bench_fleet_churn");
+  flags.Add("--threads", &base.threads, "replay workers (0 = auto)");
+  flags.ParseOrExit(argc, argv, 2);
   base.duration_s = 200.0;
   base.arrivals_per_s = 20.0;  // ~4000 arrivals, ~2500 concurrent at steady state
   base.min_lifetime_s = 60.0;

@@ -18,14 +18,13 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "src/addr/decoder.h"
+#include "src/base/flags.h"
 #include "src/dram/device.h"
 #include "src/dram/fault_model.h"
 #include "src/memctl/controller.h"
@@ -273,32 +272,19 @@ int main(int argc, char** argv) {
   // the engine defaults (one shard per channel, one bank group per queue),
   // and CI passes them explicitly so the invocation documents the baseline
   // shape.
-  const siloz::ShardedEngineConfig defaults;
-  uint32_t channels_per_shard = defaults.channels_per_shard;
-  uint32_t bank_groups_per_queue = defaults.bank_groups_per_queue;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--channels-per-shard" && i + 1 < argc) {
-      channels_per_shard = siloz::bench::PositiveKnob(argv[i], argv[i + 1]);
-      ++i;
-    } else if (arg == "--bank-groups-per-queue" && i + 1 < argc) {
-      bank_groups_per_queue = siloz::bench::PositiveKnob(argv[i], argv[i + 1]);
-      ++i;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json] [--channels-per-shard N] [--bank-groups-per-queue N]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  siloz::ShardedEngineConfig knobs;
+  siloz::FlagSet flags("bench_hotpath");
+  flags.Add("--json", &json, "machine-readable report on stdout");
+  flags.Add("--channels-per-shard", &knobs.channels_per_shard, "channels per shard", {.min = 1});
+  flags.Add("--bank-groups-per-queue", &knobs.bank_groups_per_queue,
+            "bank groups per command queue", {.min = 1});
+  flags.ParseOrExit(argc, argv, 2);
 
   const std::vector<siloz::BenchResult> results = {
       siloz::BenchDecodeRoundTrip(),
       siloz::BenchActDisturb(),
       siloz::BenchReadEcc(),
-      siloz::BenchShardedClosedLoop(channels_per_shard, bank_groups_per_queue),
+      siloz::BenchShardedClosedLoop(knobs.channels_per_shard, knobs.bank_groups_per_queue),
   };
 
   bool deterministic = true;

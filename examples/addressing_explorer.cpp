@@ -5,27 +5,26 @@
 //
 // Run: ./build/examples/addressing_explorer [phys_address]
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 
 #include "src/addr/decoder.h"
 #include "src/addr/subarray_group.h"
 #include "src/base/bitops.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/dram/remap.h"
 
 using namespace siloz;
 
 int main(int argc, char** argv) {
+  uint64_t phys = 5_GiB + 123 * kPage2M + 0x4bc0;  // an arbitrary default
+  FlagSet flags("addressing_explorer");
+  flags.Add("phys_address", &phys, "physical address, decimal or 0x hex");
+  flags.ParseOrExit(argc, argv, 1);
   DramGeometry geometry;
   SkylakeDecoder decoder(geometry);
   SubarrayGroupMap map = *SubarrayGroupMap::Build(decoder, geometry.rows_per_subarray);
   RowRemapper remapper(geometry, RemapConfig{});
-
-  uint64_t phys = 5_GiB + 123 * kPage2M + 0x4bc0;  // an arbitrary default
-  if (argc > 1) {
-    phys = std::strtoull(argv[1], nullptr, 0);
-  }
   if (phys >= geometry.total_bytes()) {
     std::fprintf(stderr, "address beyond %lu GiB of DRAM\n",
                  static_cast<unsigned long>(geometry.total_bytes() >> 30));

@@ -1,16 +1,14 @@
 // silozctl: command-line front end over the simulated platform — inspect
 // topology, run attack campaigns, compare kernels, and audit isolation.
 //
-// Usage:
-//   silozctl topology [--platform NAME] [--snc] [--ddr5] [--subarray-rows N]
-//   silozctl attack   [--baseline] [--patterns N] [--seed N]
-//   silozctl audit    [--flip-ept] [--stride BYTES] [--threads N] [--json]
-//   silozctl run      [workload] [--platform NAME] [--baseline] [--trials N]
-//                     [--threads N] [--faults]
-//   silozctl fleet    [--policy reject|queue|defrag] [--seed N] [--threads N]
-//                     [--duration S] [--rate R] [--burst A] [--epoch S]
-//                     [--timeout S] [--json]
-//   silozctl groupof  <phys-address> [--platform NAME]
+// Usage: silozctl <command> [options]; `silozctl <command> --help` lists a
+// command's flags:
+//   topology  boot a platform and print its groups, nodes and EPT block
+//   attack    run a Blacksmith campaign from one VM against another
+//   audit     audit a live VM's isolation (--flip-ept corrupts its EPT)
+//   run       serve one workload through the memory controllers
+//   fleet     replay VM churn on the 8-socket fleet platform
+//   groupof   decode a physical address to its subarray group
 //
 // --platform selects a registered platform (skylake, cascadelake, zen,
 // ddr5): decoder family, geometry, and DDR-generation semantics together.
@@ -20,18 +18,18 @@
 // (observability exports; written after the command completes, never mixed
 // into stdout). --threads 0 (the default) auto-detects: $SILOZ_THREADS if
 // set, else the hardware concurrency.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "src/addr/platform.h"
 #include "src/attack/blacksmith.h"
 #include "src/audit/auditor.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/ept/phys_memory.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/experiment.h"
 #include "src/sim/fleet.h"
@@ -43,56 +41,26 @@ using namespace siloz;
 
 namespace {
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-uint64_t FlagValue(int argc, char** argv, const char* flag, uint64_t fallback) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return std::strtoull(argv[i + 1], nullptr, 0);
-    }
-  }
-  return fallback;
-}
-
-std::string FlagString(int argc, char** argv, const char* flag) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return argv[i + 1];
-    }
-  }
-  return "";
-}
-
-double FlagDouble(int argc, char** argv, const char* flag, double fallback) {
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return std::strtod(argv[i + 1], nullptr);
-    }
-  }
-  return fallback;
-}
-
-int CmdTopology(int argc, char** argv) {
-  const std::string platform = FlagString(argc, argv, "--platform");
-  DramGeometry geometry = HasFlag(argc, argv, "--ddr5") ? Ddr5Geometry() : DramGeometry{};
+int CmdTopology(FlagSet& flags, int argc, char** argv) {
+  std::string platform;
+  bool snc = false;
+  bool ddr5 = false;
+  uint32_t subarray_rows = 0;  // 0 = the geometry's own
+  flags.Add("--platform", &platform, "registered platform (replaces --snc/--ddr5)",
+            {.choices = PlatformNames()});
+  flags.Add("--snc", &snc, "sub-NUMA clustering decoder (2 clusters)");
+  flags.Add("--ddr5", &ddr5, "DDR5 geometry");
+  flags.Add("--subarray-rows", &subarray_rows, "presumed rows per subarray", {.min = 1});
+  flags.ParseOrExit(argc, argv, 1);
+  DramGeometry geometry = ddr5 ? Ddr5Geometry() : DramGeometry{};
   SilozConfig config;
   std::unique_ptr<AddressDecoder> decoder;
   if (!platform.empty()) {
     const PlatformInfo* info = FindPlatform(platform);
-    if (info == nullptr) {
-      std::fprintf(stderr, "unknown platform '%s'\n", platform.c_str());
-      return 1;
-    }
     geometry = info->geometry;
-    geometry.rows_per_subarray = static_cast<uint32_t>(
-        FlagValue(argc, argv, "--subarray-rows", geometry.rows_per_subarray));
+    if (subarray_rows != 0) {
+      geometry.rows_per_subarray = subarray_rows;
+    }
     config.uniform_internal_addressing = info->uniform_internal_addressing;
     Result<std::unique_ptr<AddressDecoder>> made = info->make(geometry);
     if (!made.ok()) {
@@ -101,13 +69,12 @@ int CmdTopology(int argc, char** argv) {
       return 1;
     }
     decoder = std::move(*made);
-  } else if (HasFlag(argc, argv, "--snc")) {
+  } else if (snc) {
     decoder = std::make_unique<SncDecoder>(geometry, 2);
   } else {
     decoder = std::make_unique<SkylakeDecoder>(geometry);
   }
-  config.rows_per_subarray = static_cast<uint32_t>(
-      FlagValue(argc, argv, "--subarray-rows", geometry.rows_per_subarray));
+  config.rows_per_subarray = subarray_rows != 0 ? subarray_rows : geometry.rows_per_subarray;
   FlatPhysMemory memory;
   SilozHypervisor hypervisor(*decoder, memory, config);
   if (Status status = hypervisor.Boot(); !status.ok()) {
@@ -134,8 +101,13 @@ int CmdTopology(int argc, char** argv) {
   return 0;
 }
 
-int CmdAttack(int argc, char** argv) {
-  const bool baseline = HasFlag(argc, argv, "--baseline");
+int CmdAttack(FlagSet& flags, int argc, char** argv) {
+  bool baseline = false;
+  BlacksmithConfig fuzz;
+  flags.Add("--baseline", &baseline, "boot the baseline kernel instead of Siloz");
+  flags.Add("--patterns", &fuzz.patterns, "fuzzing patterns to synthesize");
+  flags.Add("--seed", &fuzz.seed, "fuzzer seed");
+  flags.ParseOrExit(argc, argv, 1);
   MachineConfig machine_config;
   machine_config.fault_tracking = true;
   DimmProfile profile;
@@ -157,9 +129,6 @@ int CmdAttack(int argc, char** argv) {
   for (const VmRegion& region : attacker_vm.regions()) {
     reachable.push_back(PhysRange{region.hpa, region.hpa + region.bytes});
   }
-  BlacksmithConfig fuzz;
-  fuzz.patterns = static_cast<uint32_t>(FlagValue(argc, argv, "--patterns", 12));
-  fuzz.seed = FlagValue(argc, argv, "--seed", 0xB1AC5);
   std::printf("kernel=%s patterns=%u seed=%lu ... ", baseline ? "baseline" : "siloz",
               fuzz.patterns, static_cast<unsigned long>(fuzz.seed));
   std::fflush(stdout);
@@ -182,14 +151,24 @@ int CmdAttack(int argc, char** argv) {
   return 0;
 }
 
-int CmdAudit(int argc, char** argv) {
+int CmdAudit(FlagSet& flags, int argc, char** argv) {
+  bool flip_ept = false;
+  bool json = false;
+  audit::Options options;
+  options.probe_stride = 4_MiB;
+  options.random_probes = 512;
+  flags.Add("--flip-ept", &flip_ept, "inject a bit flip into the VM's EPT first");
+  flags.Add("--stride BYTES", &options.probe_stride, "physical probe stride", {.min = 1});
+  flags.Add("--threads", &options.threads, "blast-radius scan workers (0 = auto)");
+  flags.Add("--json", &json, "machine-readable report");
+  flags.ParseOrExit(argc, argv, 1);
   DramGeometry geometry;
   SkylakeDecoder decoder(geometry);
   FlatPhysMemory memory;
   SilozHypervisor hypervisor(decoder, memory, SilozConfig{});
   SILOZ_CHECK(hypervisor.Boot().ok());
   const VmId vm = *hypervisor.CreateVm({.name = "tenant", .memory_bytes = 3_GiB});
-  if (HasFlag(argc, argv, "--flip-ept")) {
+  if (flip_ept) {
     Vm& tenant = **hypervisor.GetVm(vm);
     memory.FlipBit(tenant.ept()->table_pages().back() + 4, 2);
     std::printf("injected a bit flip into an EPT table page\n");
@@ -197,14 +176,10 @@ int CmdAudit(int argc, char** argv) {
 
   // Static pass first: prove the boot-time plan upholds the four isolation
   // invariants, then check this VM's live EPT bytes against it.
-  audit::Options options;
-  options.probe_stride = FlagValue(argc, argv, "--stride", 4_MiB);
-  options.random_probes = 512;
-  options.threads = static_cast<uint32_t>(FlagValue(argc, argv, "--threads", 0));
   audit::Auditor auditor(hypervisor, RemapConfig{}, options);
   audit::Report report = auditor.Run();
   auditor.CheckVmContainment(**hypervisor.GetVm(vm), report);
-  if (HasFlag(argc, argv, "--json")) {
+  if (json) {
     std::printf("%s\n", report.ToJson().c_str());
   } else {
     std::printf("%s", report.ToText().c_str());
@@ -219,32 +194,41 @@ int CmdAudit(int argc, char** argv) {
   return (audit.ok() && report.ok()) ? 0 : 2;
 }
 
-int CmdRun(int argc, char** argv) {
+int CmdRun(FlagSet& flags, int argc, char** argv) {
   // The controller-backed experiment path: boots a machine + hypervisor per
   // trial and serves the workload through the memory controllers, so the
   // exported metrics include per-bank-group ACT/PRE/RD/WR/REF counts on top
   // of the hypervisor allocation counters. Model metrics are identical for
   // every --threads N (DESIGN.md §9).
-  const std::string name = (argc >= 3 && argv[2][0] != '-') ? argv[2] : "redis-a";
+  std::string name = "redis-a";
+  uint64_t accesses = 0;  // 0 = the workload's own
+  std::string platform;
+  bool baseline = false;
+  RunnerConfig config;
+  flags.Add("workload", &name, "workload to serve (default redis-a)");
+  flags.Add("--accesses", &accesses, "accesses per trial", {.min = 1});
+  flags.Add("--platform", &platform, "registered platform", {.choices = PlatformNames()});
+  flags.Add("--baseline", &baseline, "boot the baseline kernel instead of Siloz");
+  flags.Add("--trials", &config.trials, "trials", {.min = 1});
+  flags.Add("--seed", &config.seed, "root seed");
+  flags.Add("--threads", &config.threads, "trial workers (0 = auto)");
+  flags.Add("--faults", &config.fault_tracking, "track disturbance and report bit flips");
+  flags.ParseOrExit(argc, argv, 1);
   Result<WorkloadSpec> spec = FindWorkload(name);
   if (!spec.ok()) {
     std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());
     return 1;
   }
-  spec->accesses = FlagValue(argc, argv, "--accesses", spec->accesses);
-  RunnerConfig config;
-  const std::string platform = FlagString(argc, argv, "--platform");
+  if (accesses != 0) {
+    spec->accesses = accesses;
+  }
   if (!platform.empty()) {
     if (Status applied = ApplyPlatform(config, platform); !applied.ok()) {
       std::fprintf(stderr, "--platform: %s\n", applied.error().ToString().c_str());
       return 1;
     }
   }
-  config.hypervisor.enabled = !HasFlag(argc, argv, "--baseline");
-  config.trials = static_cast<uint32_t>(FlagValue(argc, argv, "--trials", 5));
-  config.seed = FlagValue(argc, argv, "--seed", 42);
-  config.threads = static_cast<uint32_t>(FlagValue(argc, argv, "--threads", 0));
-  config.fault_tracking = HasFlag(argc, argv, "--faults");
+  config.hypervisor.enabled = !baseline;
   Result<RunMeasurement> run = RunWorkload(config, *spec);
   if (!run.ok()) {
     std::fprintf(stderr, "run: %s\n", run.error().ToString().c_str());
@@ -263,33 +247,31 @@ int CmdRun(int argc, char** argv) {
   return 0;
 }
 
-int CmdFleet(int argc, char** argv) {
+int CmdFleet(FlagSet& flags, int argc, char** argv) {
   // Fleet churn on the 8-socket fleet platform (§7 operational costs).
   // Model output (stdout) is bit-identical for every --threads N; the
   // wall-clock latency tails go to stderr so stdout stays comparable.
   FleetConfig config;
-  const std::string policy = FlagString(argc, argv, "--policy");
-  if (!policy.empty()) {
-    Result<AdmissionPolicy> parsed = ParseAdmissionPolicy(policy);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "--policy: %s\n", parsed.error().ToString().c_str());
-      return 1;
-    }
-    config.policy = *parsed;
-  }
-  config.seed = FlagValue(argc, argv, "--seed", config.seed);
-  config.threads = static_cast<uint32_t>(FlagValue(argc, argv, "--threads", 0));
-  config.duration_s = FlagDouble(argc, argv, "--duration", config.duration_s);
-  config.arrivals_per_s = FlagDouble(argc, argv, "--rate", config.arrivals_per_s);
-  config.burst_amplitude = FlagDouble(argc, argv, "--burst", config.burst_amplitude);
-  config.epoch_s = FlagDouble(argc, argv, "--epoch", config.epoch_s);
-  config.queue_timeout_s = FlagDouble(argc, argv, "--timeout", config.queue_timeout_s);
+  std::string policy = AdmissionPolicyName(config.policy);
+  bool json = false;
+  flags.Add("--policy", &policy, "admission policy at capacity",
+            {.choices = {"reject", "queue", "defrag"}});
+  flags.Add("--seed", &config.seed, "root seed of the arrival trace");
+  flags.Add("--threads", &config.threads, "replay workers (0 = auto)");
+  flags.Add("--duration S", &config.duration_s, "simulated seconds of arrivals");
+  flags.Add("--rate R", &config.arrivals_per_s, "mean arrivals per second");
+  flags.Add("--burst A", &config.burst_amplitude, "diurnal modulation amplitude");
+  flags.Add("--epoch S", &config.epoch_s, "seconds between defrag/census barriers");
+  flags.Add("--timeout S", &config.queue_timeout_s, "queue abandonment deadline");
+  flags.Add("--json", &json, "machine-readable report");
+  flags.ParseOrExit(argc, argv, 1);
+  config.policy = ParseAdmissionPolicy(policy).value();
   Result<FleetReport> report = RunFleetChurn(config);
   if (!report.ok()) {
     std::fprintf(stderr, "fleet: %s\n", report.error().ToString().c_str());
     return 1;
   }
-  if (HasFlag(argc, argv, "--json")) {
+  if (json) {
     std::printf("%s\n", report->ModelJson().c_str());
   } else {
     std::printf("%s", report->ModelText().c_str());
@@ -298,33 +280,21 @@ int CmdFleet(int argc, char** argv) {
   return report->drained_clean ? 0 : 2;
 }
 
-int CmdGroupOf(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr, "usage: silozctl groupof <phys-address> [--platform NAME]\n");
-    return 1;
-  }
-  const std::string platform = FlagString(argc, argv, "--platform");
+int CmdGroupOf(FlagSet& flags, int argc, char** argv) {
+  uint64_t phys = 0;
+  std::string platform;
+  flags.Add("phys-address", &phys, "physical address, decimal or 0x hex", {.required = true});
+  flags.Add("--platform", &platform, "registered platform", {.choices = PlatformNames()});
+  flags.ParseOrExit(argc, argv, 1);
   DramGeometry geometry;
   std::unique_ptr<AddressDecoder> decoder;
-  if (!platform.empty()) {
-    const PlatformInfo* info = FindPlatform(platform);
-    if (info == nullptr) {
-      std::fprintf(stderr, "unknown platform '%s'\n", platform.c_str());
-      return 1;
-    }
-    geometry = info->geometry;
-    Result<std::unique_ptr<AddressDecoder>> made = info->make(geometry);
-    if (!made.ok()) {
-      std::fprintf(stderr, "platform '%s': %s\n", platform.c_str(),
-                   made.error().ToString().c_str());
-      return 1;
-    }
-    decoder = std::move(*made);
-  } else {
+  if (platform.empty()) {
     decoder = std::make_unique<SkylakeDecoder>(geometry);
+  } else {
+    geometry = FindPlatform(platform)->geometry;
+    decoder = MakePlatformDecoder(platform).value();  // registry parts always build
   }
   SubarrayGroupMap map = *SubarrayGroupMap::Build(*decoder, geometry.rows_per_subarray);
-  const uint64_t phys = std::strtoull(argv[2], nullptr, 0);
   Result<uint32_t> group = map.GroupOfPhys(phys);
   if (!group.ok()) {
     std::fprintf(stderr, "%s\n", group.error().ToString().c_str());
@@ -337,66 +307,36 @@ int CmdGroupOf(int argc, char** argv) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  int (*run)(FlagSet& flags, int argc, char** argv);
+};
+
+constexpr Command kCommands[] = {
+    {"topology", CmdTopology}, {"attack", CmdAttack}, {"audit", CmdAudit},
+    {"run", CmdRun},           {"fleet", CmdFleet},   {"groupof", CmdGroupOf},
+};
+
 }  // namespace
 
-int Dispatch(int argc, char** argv, const std::string& command) {
-  if (command == "topology") {
-    return CmdTopology(argc, argv);
-  }
-  if (command == "attack") {
-    return CmdAttack(argc, argv);
-  }
-  if (command == "audit") {
-    return CmdAudit(argc, argv);
-  }
-  if (command == "run") {
-    return CmdRun(argc, argv);
-  }
-  if (command == "fleet") {
-    return CmdFleet(argc, argv);
-  }
-  if (command == "groupof") {
-    return CmdGroupOf(argc, argv);
-  }
-  std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-  return 1;
-}
-
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: silozctl <command>\n"
-                 "  topology [--platform NAME] [--snc] [--ddr5] [--subarray-rows N]\n"
-                 "  attack   [--baseline] [--patterns N] [--seed N]\n"
-                 "  run      [workload] [--platform NAME] [--baseline] [--trials N]\n"
-                 "           [--threads N] [--faults]\n"
-                 "  fleet    [--policy reject|queue|defrag] [--seed N] [--threads N]\n"
-                 "           [--duration S] [--rate R] [--burst A] [--epoch S]\n"
-                 "           [--timeout S] [--json]\n"
-                 "  audit    [--flip-ept] [--stride BYTES] [--threads N] [--json]\n"
-                 "  groupof  <phys-address> [--platform NAME]\n"
-                 "common: --threads N         worker count (0 = auto: $SILOZ_THREADS,\n"
-                 "                            else hardware concurrency)\n"
-                 "        --platform NAME     registered platform (skylake, cascadelake,\n"
-                 "                            zen, ddr5): decoder family + geometry\n"
-                 "        --metrics-out FILE  write the metrics registry as JSON\n"
-                 "        --trace-out FILE    record + write a Chrome trace-event log\n");
-    return 1;
+  std::vector<std::string> names;
+  for (const Command& command : kCommands) {
+    names.emplace_back(command.name);
   }
-  const std::string command = argv[1];
-  const std::string metrics_out = FlagString(argc, argv, "--metrics-out");
-  const std::string trace_out = FlagString(argc, argv, "--trace-out");
-  if (!trace_out.empty()) {
-    obs::Tracer::Global().Enable();
-  }
+  std::string name;
+  FlagSet flags("silozctl");
+  flags.Add("command", &name, "'silozctl <command> --help' lists its flags",
+            {.choices = names, .required = true});
+  flags.ParseOrExit(std::min(argc, 2), argv, 1);  // the command parses the rest
+  const Command& command = *std::find_if(std::begin(kCommands), std::end(kCommands),
+                                         [&](const Command& c) { return name == c.name; });
+  // Each command declares its own flags into `command_flags`, then parses.
   // Commands keep all simulated objects function-local, so their destructors
-  // have flushed every model counter by the time Dispatch returns.
-  const int status = Dispatch(argc, argv, command);
-  if (!metrics_out.empty() && !obs::WriteMetricsJson(metrics_out)) {
-    return 1;
-  }
-  if (!trace_out.empty() && !obs::WriteTraceJson(trace_out)) {
-    return 1;
-  }
-  return status;
+  // have flushed every model counter by the time they return.
+  obs::ExportFiles exports;
+  FlagSet command_flags("silozctl " + name);
+  command_flags.AddExports(&exports);
+  const int status = command.run(command_flags, argc - 1, argv + 1);
+  return exports.Write() ? status : 1;
 }

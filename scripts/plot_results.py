@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Render the figure benches' CSV output as ASCII bar charts.
+"""Render the figure driver's CSV output as ASCII bar charts.
 
 Usage:
-    SILOZ_RESULTS_DIR=results ./build/bench/bench_fig4_exec_time
+    SILOZ_RESULTS_DIR=results ./build/bench/bench_figures fig4
     scripts/plot_results.py results/fig4_exec_time.csv
 
 Each row of the CSV (variant, workload, overhead_pct, ci95_pct) becomes one

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "src/base/check.h"
+#include "src/base/flags.h"
 #include "src/obs/metrics.h"
 
 namespace siloz {
@@ -12,10 +14,10 @@ uint32_t ResolveThreads(uint32_t requested) {
   if (requested > 0) {
     return requested;
   }
-  if (const char* env = std::getenv("SILOZ_THREADS"); env != nullptr && env[0] != '\0') {
-    const unsigned long value = std::strtoul(env, nullptr, 10);
-    if (value > 0) {
-      return static_cast<uint32_t>(value);
+  if (const char* env = std::getenv("SILOZ_THREADS"); env != nullptr) {
+    const Result<uint64_t> value = ParseUnsigned(env, 1, std::numeric_limits<uint32_t>::max());
+    if (value.ok()) {
+      return static_cast<uint32_t>(*value);
     }
   }
   return std::max(1u, std::thread::hardware_concurrency());

@@ -42,8 +42,9 @@ struct PoolMetrics {
 };
 
 // Resolves a `--threads N` style knob: N > 0 is taken literally; 0 falls
-// back to $SILOZ_THREADS when set and positive, else the hardware
-// concurrency (minimum 1).
+// back to $SILOZ_THREADS when it is a whole positive integer (parsed as
+// strictly as a flag: "4x" does not mean 4), else the hardware concurrency
+// (minimum 1).
 uint32_t ResolveThreads(uint32_t requested);
 
 class ThreadPool {

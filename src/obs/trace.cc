@@ -4,6 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "src/obs/metrics.h"
+
 namespace siloz::obs {
 namespace {
 
@@ -138,6 +140,12 @@ bool WriteTraceJson(const std::string& path) {
     std::fprintf(stderr, "trace: short write to '%s'\n", path.c_str());
   }
   return ok;
+}
+
+bool ExportFiles::Write() const {
+  const bool metrics_ok = metrics_out.empty() || WriteMetricsJson(metrics_out);
+  const bool trace_ok = trace_out.empty() || WriteTraceJson(trace_out);
+  return metrics_ok && trace_ok;
 }
 
 }  // namespace siloz::obs

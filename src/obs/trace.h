@@ -90,6 +90,18 @@ class TraceSpan {
 // stderr) if the file cannot be written.
 bool WriteTraceJson(const std::string& path);
 
+// The `--metrics-out FILE` / `--trace-out FILE` exports every binary takes
+// (FlagSet::AddExports declares both and switches the tracer on). Write()
+// writes the requested files after the run, once every simulated object has
+// been destroyed and its counters flushed; it never touches stdout and
+// returns false (with a message on stderr) if any requested file failed.
+struct ExportFiles {
+  std::string metrics_out;
+  std::string trace_out;
+
+  bool Write() const;
+};
+
 }  // namespace siloz::obs
 
 #endif  // SILOZ_SRC_OBS_TRACE_H_

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,12 +18,37 @@
 namespace siloz {
 namespace {
 
+// Restores $SILOZ_THREADS on scope exit so these tests cannot leak state
+// into each other (or into a developer's shell-configured run).
+class ScopedThreadsEnv {
+ public:
+  ScopedThreadsEnv() {
+    const char* current = std::getenv("SILOZ_THREADS");
+    had_value_ = current != nullptr;
+    if (had_value_) {
+      saved_ = current;
+    }
+  }
+  ~ScopedThreadsEnv() {
+    if (had_value_) {
+      ::setenv("SILOZ_THREADS", saved_.c_str(), 1);
+    } else {
+      ::unsetenv("SILOZ_THREADS");
+    }
+  }
+
+ private:
+  bool had_value_ = false;
+  std::string saved_;
+};
+
 TEST(ResolveThreadsTest, PositiveRequestIsLiteral) {
   EXPECT_EQ(ResolveThreads(1), 1u);
   EXPECT_EQ(ResolveThreads(7), 7u);
 }
 
 TEST(ResolveThreadsTest, ZeroFallsBackToEnvThenHardware) {
+  ScopedThreadsEnv guard;
   ::setenv("SILOZ_THREADS", "3", 1);
   EXPECT_EQ(ResolveThreads(0), 3u);
   ::setenv("SILOZ_THREADS", "0", 1);  // non-positive env value is ignored
@@ -36,10 +62,60 @@ TEST(ResolveThreadsTest, AutoDetectUsesHardwareConcurrency) {
   // knob is exposed (silozctl, siloz_audit, the figure benches): without an
   // env override it resolves to the host's hardware concurrency, and a pool
   // built from 0 gets exactly that many workers.
+  ScopedThreadsEnv guard;
   ::unsetenv("SILOZ_THREADS");
   EXPECT_EQ(ResolveThreads(0), std::max(1u, std::thread::hardware_concurrency()));
   ThreadPool pool(0);
   EXPECT_EQ(pool.worker_count(), ResolveThreads(0));
+}
+
+// The figure driver resolves --threads once and forwards the resolved value:
+// the count its banner prints must be the worker count of the pool that runs
+// the grid.
+TEST(ResolveThreadsTest, ExplicitFlagWinsOverEnvironment) {
+  ScopedThreadsEnv guard;
+  ::setenv("SILOZ_THREADS", "7", 1);
+  EXPECT_EQ(ResolveThreads(3), 3u);
+  ThreadPool pool(ResolveThreads(3));
+  EXPECT_EQ(pool.worker_count(), 3u);
+}
+
+TEST(ResolveThreadsTest, AutoResolvesEnvironmentThenHardware) {
+  ScopedThreadsEnv guard;
+  ::setenv("SILOZ_THREADS", "5", 1);
+  EXPECT_EQ(ResolveThreads(0), 5u);
+  ::unsetenv("SILOZ_THREADS");
+  EXPECT_EQ(ResolveThreads(0), std::max(1u, std::thread::hardware_concurrency()));
+  ::setenv("SILOZ_THREADS", "0", 1);  // non-positive values fall through
+  EXPECT_EQ(ResolveThreads(0), std::max(1u, std::thread::hardware_concurrency()));
+}
+
+TEST(ResolveThreadsTest, MalformedEnvironmentFallsThroughToHardware) {
+  // $SILOZ_THREADS is parsed as strictly as a flag: "4x" is not 4.
+  ScopedThreadsEnv guard;
+  for (const char* bad : {"4x", "abc", "", "-4", " 4", "4294967296"}) {
+    ::setenv("SILOZ_THREADS", bad, 1);
+    EXPECT_EQ(ResolveThreads(0), std::max(1u, std::thread::hardware_concurrency())) << bad;
+  }
+}
+
+TEST(ResolveThreadsTest, ReportedCountEqualsPoolWorkerCountUnderEnvDrift) {
+  ScopedThreadsEnv guard;
+  // Resolve once — this is the value the figure banner prints...
+  ::setenv("SILOZ_THREADS", "3", 1);
+  const uint32_t reported = ResolveThreads(0);
+  ASSERT_EQ(reported, 3u);
+  // ...then the environment drifts before the grid pool is constructed.
+  ::setenv("SILOZ_THREADS", "7", 1);
+  // Forwarding the resolved value keeps the pool in agreement with the
+  // banner.
+  ThreadPool pool(reported);
+  EXPECT_EQ(pool.worker_count(), reported);
+  // Handing the raw flag to the pool and letting it re-resolve would have
+  // produced a 7-worker pool under a "3 worker threads" banner.
+  ThreadPool stale(0);
+  EXPECT_EQ(stale.worker_count(), 7u);
+  EXPECT_NE(stale.worker_count(), reported);
 }
 
 TEST(ThreadPoolTest, SerialPoolRunsTasksInlineInSubmissionOrder) {
