@@ -460,7 +460,7 @@ EptPageAllocator SilozHypervisor::MakeEptAllocator(uint32_t socket,
   if (config_.enabled && config_.ept_protection == EptProtection::kGuardRows) {
     // The GFP_EPT path (§5.4): pages come from the protected row group.
     return [this, socket, pages_out]() -> Result<uint64_t> {
-      mu_.AssertHeld();  // runs inside CreateVm/AssignPassthroughDevice
+      mu_.AssertHeld();  // runs inside BuildTable
       if (ept_pool_[socket].empty()) {
         return MakeError(ErrorCode::kNoMemory, "EPT pool exhausted");
       }
@@ -475,7 +475,7 @@ EptPageAllocator SilozHypervisor::MakeEptAllocator(uint32_t socket,
   // Baseline / secure-EPT: ordinary host-node memory.
   const uint32_t host_node = host_node_by_socket_[socket];
   return [this, host_node, pages_out]() -> Result<uint64_t> {
-    mu_.AssertHeld();  // runs inside CreateVm/AssignPassthroughDevice
+    mu_.AssertHeld();  // runs inside BuildTable
     Result<NumaNode*> node = nodes_.Get(host_node);
     SILOZ_RETURN_IF_ERROR(node);
     Result<uint64_t> page = (*node)->allocator().Allocate(kOrder4K);
@@ -487,15 +487,19 @@ EptPageAllocator SilozHypervisor::MakeEptAllocator(uint32_t socket,
   };
 }
 
-Status SilozHypervisor::ReturnEptPage(uint32_t socket, uint64_t page) {
-  if (config_.enabled && config_.ept_protection == EptProtection::kGuardRows) {
-    ept_pool_[socket].push_back(page);
-  } else {
-    SILOZ_RETURN_IF_ERROR(FreePagesLocked(host_node_by_socket_[socket], page, kOrder4K));
+Status SilozHypervisor::ReturnTablePages(uint32_t socket, std::vector<uint64_t>& pages) {
+  const bool guard_rows = config_.enabled && config_.ept_protection == EptProtection::kGuardRows;
+  while (!pages.empty()) {
+    if (guard_rows) {
+      ept_pool_[socket].push_back(pages.back());
+    } else {
+      SILOZ_RETURN_IF_ERROR(FreePagesLocked(host_node_by_socket_[socket], pages.back(), kOrder4K));
+    }
+    pages.pop_back();
+    SILOZ_CHECK_GT(ept_pages_held_, 0u);
+    --ept_pages_held_;
+    UpdateEptGauges();
   }
-  SILOZ_CHECK_GT(ept_pages_held_, 0u);
-  --ept_pages_held_;
-  UpdateEptGauges();
   return Status::Ok();
 }
 
@@ -524,9 +528,191 @@ void SilozHypervisor::UpdateEptGauges() {
       .Set(static_cast<int64_t>(ept_pages_held_));
 }
 
+// A placement staged by StagePlacement: reserved, but not yet any VM's.
+struct SilozHypervisor::Placement {
+  std::vector<Backing> backing;
+  std::vector<VmRegion> regions;
+  std::vector<std::pair<uint32_t, uint32_t>> nodes;  // node id, first group
+
+  // Publishes the nodes and regions onto `vm` (whose placement is empty);
+  // returns the node set for its cgroup's cpuset.mems.
+  std::set<uint32_t> InstallOn(Vm& vm) const {
+    std::set<uint32_t> mems;
+    for (const auto& [node_id, first_group] : nodes) {
+      vm.AddGuestNode(node_id, first_group);
+      mems.insert(node_id);
+    }
+    for (const VmRegion& region : regions) {
+      vm.AddRegion(region);
+    }
+    return mems;
+  }
+};
+
+Result<SilozHypervisor::Placement> SilozHypervisor::StagePlacement(const VmConfig& vm_config,
+                                                                   uint32_t socket,
+                                                                   const std::string& owner,
+                                                                   ReservationTransaction& txn) {
+  const uint32_t order = OrderOf(vm_config.backing);
+  const uint64_t backing_bytes = OrderBytes(order);
+  const uint64_t unmediated_bytes = vm_config.memory_bytes + vm_config.rom_bytes;
+  Placement placement;
+  auto log_backing = [&](const Backing& run) {
+    placement.backing.push_back(run);
+    txn.OnRollback([this, run] {
+      mu_.AssertHeld();  // txn unwinds inside a lifecycle entry point
+      Backing remaining = run;
+      SILOZ_CHECK(FreeBackingBlocks(remaining).ok())
+          << "rollback failed to free backing at " << run.phys;
+    });
+  };
+  uint64_t gpa_cursor = 0;
+  // Adds unmediated regions for one contiguous host run, splitting at the
+  // RAM/ROM boundary in guest-physical space.
+  auto add_unmediated_regions = [&](uint64_t hpa, uint64_t bytes) {
+    uint64_t remaining = bytes;
+    while (remaining > 0) {
+      const bool is_ram = gpa_cursor < vm_config.memory_bytes;
+      const uint64_t limit = is_ram ? vm_config.memory_bytes - gpa_cursor : remaining;
+      const uint64_t piece = std::min(remaining, limit);
+      placement.regions.push_back(VmRegion{is_ram ? MemoryType::kGuestRam : MemoryType::kGuestRom,
+                                           gpa_cursor, hpa, piece, vm_config.backing});
+      gpa_cursor += piece;
+      hpa += piece;
+      remaining -= piece;
+    }
+  };
+
+  if (config_.enabled) {
+    // Whole subarray groups, same socket (§5.2-§5.3). Select enough free
+    // guest nodes by their actual free capacity (guard offlining can shave a
+    // few rows off a group).
+    std::vector<uint32_t> selected;
+    uint64_t capacity = 0;
+    for (uint32_t node_id : AvailableGuestNodesLocked(socket)) {
+      if (capacity >= unmediated_bytes) {
+        break;
+      }
+      NumaNode& node = *nodes_.Get(node_id).value();
+      selected.push_back(node_id);
+      capacity += AlignDown(node.allocator().free_bytes(), backing_bytes);
+    }
+    if (capacity < unmediated_bytes) {
+      return MakeError(ErrorCode::kNoMemory,
+                       "socket " + std::to_string(socket) + " has only " +
+                           std::to_string(capacity) + " free guest-node bytes of " +
+                           std::to_string(unmediated_bytes) + " needed");
+    }
+    uint64_t remaining = unmediated_bytes;
+    for (uint32_t node_id : selected) {
+      node_owner_[node_id] = owner;
+      txn.OnRollback([this, node_id] {
+        mu_.AssertHeld();
+        node_owner_.erase(node_id);
+      });
+      NumaNode& node = *nodes_.Get(node_id).value();
+      placement.nodes.emplace_back(node_id, node.first_group());
+      const uint64_t chunk =
+          std::min(remaining, AlignDown(node.allocator().free_bytes(), backing_bytes));
+      if (chunk == 0) {
+        continue;
+      }
+      Result<std::vector<PhysRange>> runs = AllocateRuns(node, chunk, order);
+      SILOZ_RETURN_IF_ERROR(runs);
+      for (const PhysRange& run : *runs) {
+        log_backing(Backing{node_id, run.begin, run.size(), order});
+        add_unmediated_regions(run.begin, run.size());
+      }
+      remaining -= chunk;
+    }
+    SILOZ_CHECK_EQ(remaining, 0u);
+  } else {
+    // Baseline: contiguous run from the socket's single node.
+    NumaNode& node = *nodes_.Get(host_node_by_socket_[socket]).value();
+    Result<uint64_t> start = AllocateContiguous(node, unmediated_bytes, order);
+    SILOZ_RETURN_IF_ERROR(start);
+    log_backing(Backing{node.id(), *start, unmediated_bytes, order});
+    add_unmediated_regions(*start, unmediated_bytes);
+  }
+
+  // --- Mediated MMIO window: host memory, never mapped in the EPT ---
+  if (vm_config.mmio_bytes > 0) {
+    NumaNode& host = *nodes_.Get(host_node_by_socket_[socket]).value();
+    const uint64_t mmio_bytes = AlignUp(vm_config.mmio_bytes, kPage4K);
+    Result<uint64_t> mmio = AllocateContiguous(host, mmio_bytes, kOrder4K);
+    SILOZ_RETURN_IF_ERROR(mmio);
+    log_backing(Backing{host.id(), *mmio, mmio_bytes, kOrder4K});
+    placement.regions.push_back(
+        VmRegion{MemoryType::kMmio, gpa_cursor, *mmio, mmio_bytes, PageSize::k4K});
+  }
+  return placement;
+}
+
+Result<std::unique_ptr<ExtendedPageTable>> SilozHypervisor::BuildTable(
+    uint32_t socket, const std::vector<VmRegion>& regions, std::vector<uint64_t>& pages,
+    ReservationTransaction& txn) {
+  // Creation can fail mid-way (e.g. the per-socket protected pool is
+  // exhausted: a real capacity limit — one row group per socket bounds the
+  // EPT working set, §5.4), so the undo returns whatever was drawn.
+  txn.OnRollback([this, socket, &pages] {
+    mu_.AssertHeld();  // txn unwinds inside a lifecycle or device entry point
+    SILOZ_CHECK(ReturnTablePages(socket, pages).ok()) << "rollback failed to return a table page";
+  });
+  Result<std::unique_ptr<ExtendedPageTable>> table = ExtendedPageTable::Create(
+      memory_, MakeEptAllocator(socket, &pages),
+      /*secure=*/config_.ept_protection == EptProtection::kSecureEpt);
+  SILOZ_RETURN_IF_ERROR(table);
+  for (const VmRegion& region : regions) {
+    if (!IsUnmediated(region.type)) {
+      continue;  // mediated accesses exit; no mapping
+    }
+    const uint64_t step = OrderBytes(OrderOf(region.page_size));
+    for (uint64_t offset = 0; offset < region.bytes; offset += step) {
+      SILOZ_RETURN_IF_ERROR(
+          (*table)->Map(region.gpa + offset, region.hpa + offset, region.page_size));
+    }
+  }
+  return table;
+}
+
+Status SilozHypervisor::AuditTable(const char* kind, const ExtendedPageTable& table,
+                                   const Vm& vm) const {
+  for (const VmRegion& region : vm.regions()) {
+    if (!IsUnmediated(region.type)) {
+      continue;
+    }
+    const uint64_t step = OrderBytes(OrderOf(region.page_size));
+    for (uint64_t offset = 0; offset < region.bytes; offset += step) {
+      Result<uint64_t> hpa = table.Translate(region.gpa + offset);
+      SILOZ_RETURN_IF_ERROR(hpa);  // secure-table integrity failures surface here
+      if (*hpa != region.hpa + offset) {
+        ++obs_counts_.ept_violations;
+        return MakeError(ErrorCode::kIntegrityViolation,
+                         std::string(kind) + " maps GPA " + std::to_string(region.gpa + offset) +
+                             " to HPA " + std::to_string(*hpa) + ", expected " +
+                             std::to_string(region.hpa + offset) + " — subarray group escape");
+      }
+    }
+  }
+  // Guard-row mode: every table page must still live in the protected row
+  // group.
+  if (config_.enabled && config_.ept_protection == EptProtection::kGuardRows) {
+    const auto& pool_ranges = ept_pool_ranges_[vm.config().socket];
+    for (uint64_t page : table.table_pages()) {
+      if (std::none_of(pool_ranges.begin(), pool_ranges.end(),
+                       [page](const PhysRange& range) { return range.Contains(page); })) {
+        ++obs_counts_.ept_violations;
+        return MakeError(ErrorCode::kIntegrityViolation,
+                         std::string(kind) + " table page outside the protected row group");
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 Result<VmId> SilozHypervisor::CreateVm(const VmConfig& vm_config) {
-  obs::TraceSpan span("hv.CreateVm");
   MutexLock lock(mu_);
+  obs::TraceSpan span("hv.CreateVm");
   return CreateVmLocked(vm_config);
 }
 
@@ -543,7 +729,6 @@ Result<VmId> SilozHypervisor::CreateVmLocked(const VmConfig& vm_config) {
   if (vm_config.socket >= decoder_.geometry().sockets) {
     return MakeError(ErrorCode::kOutOfRange, "no such socket");
   }
-  const uint64_t unmediated_bytes = vm_config.memory_bytes + vm_config.rom_bytes;
 
   const VmId id = next_vm_id_++;
   const std::string cgroup_name = config_.enabled ? ("vm-" + vm_config.name) : "host";
@@ -552,149 +737,40 @@ Result<VmId> SilozHypervisor::CreateVmLocked(const VmConfig& vm_config) {
   // Every reservation below registers its undo the moment it succeeds; any
   // early return rolls the whole set back (newest first) via the
   // transaction's destructor, and only Commit() at the end makes it stick.
-  std::vector<Backing> backing_log;
   ReservationTransaction txn;
-  auto log_backing = [&](const Backing& run) {
-    backing_log.push_back(run);
-    txn.OnRollback([this, run] {
-      mu_.AssertHeld();  // txn unwinds inside CreateVmLocked
-      Backing remaining = run;
-      SILOZ_CHECK(FreeBackingBlocks(remaining).ok())
-          << "rollback failed to free backing at " << run.phys;
-    });
-  };
-
-  // --- Reserve nodes and allocate unmediated backing ---
-  uint64_t gpa_cursor = 0;
-  // Adds unmediated regions for one contiguous host run, splitting at the
-  // RAM/ROM boundary in guest-physical space.
-  auto add_unmediated_regions = [&](uint64_t hpa, uint64_t bytes) {
-    uint64_t remaining = bytes;
-    while (remaining > 0) {
-      const bool is_ram = gpa_cursor < vm_config.memory_bytes;
-      const uint64_t limit = is_ram ? vm_config.memory_bytes - gpa_cursor : remaining;
-      const uint64_t piece = std::min(remaining, limit);
-      vm->AddRegion(VmRegion{is_ram ? MemoryType::kGuestRam : MemoryType::kGuestRom, gpa_cursor,
-                             hpa, piece, vm_config.backing});
-      gpa_cursor += piece;
-      hpa += piece;
-      remaining -= piece;
-    }
-  };
-
+  Result<Placement> placement = StagePlacement(vm_config, vm_config.socket, cgroup_name, txn);
+  SILOZ_RETURN_IF_ERROR(placement);
+  const std::set<uint32_t> mems = placement->InstallOn(*vm);
   if (config_.enabled) {
-    // Whole subarray groups, same socket (§5.2-§5.3). Select enough free
-    // guest nodes by their actual free capacity (guard offlining can shave a
-    // few rows off a group).
-    const std::vector<uint32_t> available = AvailableGuestNodesLocked(vm_config.socket);
-    std::vector<uint32_t> selected;
-    uint64_t capacity = 0;
-    for (uint32_t node_id : available) {
-      if (capacity >= unmediated_bytes) {
-        break;
-      }
-      NumaNode& node = *nodes_.Get(node_id).value();
-      selected.push_back(node_id);
-      capacity += AlignDown(node.allocator().free_bytes(), backing_bytes);
-    }
-    if (capacity < unmediated_bytes) {
-      return MakeError(ErrorCode::kNoMemory,
-                       "socket " + std::to_string(vm_config.socket) + " has only " +
-                           std::to_string(capacity) + " free guest-node bytes of " +
-                           std::to_string(unmediated_bytes) + " needed");
-    }
-    std::set<uint32_t> mems(selected.begin(), selected.end());
     Result<ControlGroup*> cgroup = cgroups_.Create(cgroup_name, mems, /*kvm_privileged=*/true);
     SILOZ_RETURN_IF_ERROR(cgroup);
     txn.OnRollback([this, cgroup_name] {
       SILOZ_CHECK(cgroups_.Destroy(cgroup_name).ok())
           << "rollback failed to destroy cgroup " << cgroup_name;
     });
-    uint64_t remaining = unmediated_bytes;
-    for (uint32_t node_id : selected) {
-      node_owner_[node_id] = cgroup_name;
-      txn.OnRollback([this, node_id] {
-        mu_.AssertHeld();
-        node_owner_.erase(node_id);
-      });
-      NumaNode& node = *nodes_.Get(node_id).value();
-      vm->AddGuestNode(node_id, node.first_group());
-      const uint64_t chunk =
-          std::min(remaining, AlignDown(node.allocator().free_bytes(), backing_bytes));
-      if (chunk == 0) {
-        continue;
-      }
-      Result<std::vector<PhysRange>> runs =
-          AllocateRuns(node, chunk, OrderOf(vm_config.backing));
-      SILOZ_RETURN_IF_ERROR(runs);
-      for (const PhysRange& run : *runs) {
-        log_backing(Backing{node_id, run.begin, run.size(), OrderOf(vm_config.backing)});
-        add_unmediated_regions(run.begin, run.size());
-      }
-      remaining -= chunk;
-    }
-    SILOZ_CHECK_EQ(remaining, 0u);
-  } else {
-    // Baseline: contiguous run from the socket's single node.
-    NumaNode& node = *nodes_.Get(host_node_by_socket_[vm_config.socket]).value();
-    Result<uint64_t> start =
-        AllocateContiguous(node, unmediated_bytes, OrderOf(vm_config.backing));
-    SILOZ_RETURN_IF_ERROR(start);
-    log_backing(Backing{node.id(), *start, unmediated_bytes, OrderOf(vm_config.backing)});
-    add_unmediated_regions(*start, unmediated_bytes);
-  }
-
-  // --- Mediated MMIO window: host memory, never mapped in the EPT ---
-  if (vm_config.mmio_bytes > 0) {
-    NumaNode& host = *nodes_.Get(host_node_by_socket_[vm_config.socket]).value();
-    const uint64_t mmio_bytes = AlignUp(vm_config.mmio_bytes, kPage4K);
-    Result<uint64_t> mmio = AllocateContiguous(host, mmio_bytes, kOrder4K);
-    SILOZ_RETURN_IF_ERROR(mmio);
-    log_backing(Backing{host.id(), *mmio, mmio_bytes, kOrder4K});
-    vm->AddRegion(VmRegion{MemoryType::kMmio, gpa_cursor, *mmio, mmio_bytes, PageSize::k4K});
   }
 
   // --- Build the EPT (§5.4) ---
-  // Creation can fail mid-way (e.g. the per-socket protected pool is
-  // exhausted: a real capacity limit — one row group per socket bounds the
-  // EPT working set, §5.4). The map entry is itself a logged reservation:
-  // pages drawn through the allocator land in it, and the undo returns them
-  // and erases the entry, so no phantom entry survives a failed create. The
-  // entry (not a local) also gives the allocator a stable vector to fill.
+  // The map entry is itself a logged reservation: its undo, registered
+  // before BuildTable's page-return undo, runs after it and erases the
+  // emptied entry, so no phantom entry survives a failed create. The entry
+  // (not a local) also gives the allocator a stable vector to fill.
   // siloz-lint: allow(map-bracket-probe): the default-insert IS the logged
   // reservation — the rollback registered next erases it, so no phantom
   // entry survives a failed create.
   std::vector<uint64_t>& ept_pages = vm_ept_pages_[id];
-  txn.OnRollback([this, id, socket = vm_config.socket] {
+  txn.OnRollback([this, id] {
     mu_.AssertHeld();  // txn unwinds inside CreateVmLocked
-    auto pages_it = vm_ept_pages_.find(id);
-    SILOZ_CHECK(pages_it != vm_ept_pages_.end());
-    while (!pages_it->second.empty()) {
-      SILOZ_CHECK(ReturnEptPage(socket, pages_it->second.back()).ok())
-          << "rollback failed to return EPT page";
-      pages_it->second.pop_back();
-    }
-    vm_ept_pages_.erase(pages_it);
+    vm_ept_pages_.erase(id);
   });
-  Result<std::unique_ptr<ExtendedPageTable>> ept = ExtendedPageTable::Create(
-      memory_, MakeEptAllocator(vm_config.socket, &ept_pages),
-      /*secure=*/config_.ept_protection == EptProtection::kSecureEpt);
+  Result<std::unique_ptr<ExtendedPageTable>> ept =
+      BuildTable(vm_config.socket, vm->regions(), ept_pages, txn);
   SILOZ_RETURN_IF_ERROR(ept);
-  for (const VmRegion& region : vm->regions()) {
-    if (!IsUnmediated(region.type)) {
-      continue;  // mediated accesses exit; no EPT mapping
-    }
-    const uint64_t step = OrderBytes(OrderOf(region.page_size));
-    for (uint64_t offset = 0; offset < region.bytes; offset += step) {
-      SILOZ_RETURN_IF_ERROR((*ept)->Map(region.gpa + offset, region.hpa + offset,
-                                        region.page_size));
-    }
-  }
   vm->SetEpt(std::move(*ept));
 
   // --- Commit: everything reserved; publish and disarm the rollback ---
   txn.Commit();
-  vm_backing_[id] = std::move(backing_log);
+  vm_backing_[id] = std::move(placement->backing);
   Vm* raw = vm.get();
   vms_[id] = std::move(vm);
   ++obs_counts_.vms_created;
@@ -745,16 +821,11 @@ Status SilozHypervisor::DestroyVmLocked(VmId id) {
     }
     vm_backing_.erase(backing_it);
   }
-  // EPT pages: back to the pool (guard mode) or the host node, popped one by
-  // one for the same resumability.
-  const uint32_t socket = vm.config().socket;
+  // EPT pages: back to the pool (guard mode) or the host node, with the same
+  // resumability.
   auto pages_it = vm_ept_pages_.find(id);
   if (pages_it != vm_ept_pages_.end()) {
-    std::vector<uint64_t>& pages = pages_it->second;
-    while (!pages.empty()) {
-      SILOZ_RETURN_IF_ERROR(ReturnEptPage(socket, pages.back()));
-      pages.pop_back();
-    }
+    SILOZ_RETURN_IF_ERROR(ReturnTablePages(vm.config().socket, pages_it->second));
     vm_ept_pages_.erase(pages_it);
   }
   destroyed_vms_.insert(id);
@@ -787,8 +858,8 @@ Status SilozHypervisor::ReleaseVmNodesLocked(VmId id) {
 }
 
 Status SilozHypervisor::MigrateVm(VmId id, uint32_t target_socket) {
-  obs::TraceSpan span("hv.MigrateVm");
   MutexLock lock(mu_);
+  obs::TraceSpan span("hv.MigrateVm");
   return MigrateVmLocked(id, target_socket);
 }
 
@@ -823,142 +894,40 @@ Status SilozHypervisor::MigrateVmLocked(VmId id, uint32_t target_socket) {
   }
   SILOZ_FAULT_POINT("alloc.hv.migrate");
 
-  const uint64_t backing_bytes = OrderBytes(OrderOf(vm_config.backing));
-  const uint64_t unmediated_bytes = vm_config.memory_bytes + vm_config.rom_bytes;
-  const std::string& cgroup_name = vm.cgroup_name();
-
-  // Build the target placement exactly as CreateVmLocked does, but into local
-  // staging: the VM keeps its source placement until every target reservation
-  // has succeeded. Each reservation arms an undo the moment it lands, so any
-  // failure below unwinds the target half and leaves the VM untouched.
-  std::vector<Backing> new_backing;
-  std::vector<VmRegion> new_regions;
-  std::vector<std::pair<uint32_t, uint32_t>> new_nodes;  // node id, first group
-  // Declared before txn: the EPT undo below captures it by reference, and an
-  // uncommitted txn unwinds in its destructor — which runs before the
-  // destructor of anything declared after it.
+  // Stage the target placement through CreateVm's own path, but keep it off
+  // the VM: the VM keeps its source placement until every target reservation
+  // has succeeded, and any failure below unwinds the target half and leaves
+  // the VM untouched. Declared before txn: the EPT undo below captures it by
+  // reference, and an uncommitted txn unwinds in its destructor — which runs
+  // before the destructor of anything declared after it.
   std::vector<uint64_t> old_ept_pages;
   ReservationTransaction txn;
-  auto log_backing = [&](const Backing& run) {
-    new_backing.push_back(run);
-    txn.OnRollback([this, run] {
-      mu_.AssertHeld();  // txn unwinds inside MigrateVmLocked
-      Backing remaining = run;
-      SILOZ_CHECK(FreeBackingBlocks(remaining).ok())
-          << "rollback failed to free backing at " << run.phys;
-    });
-  };
-  uint64_t gpa_cursor = 0;
-  // The target regions replay the guest-physical layout CreateVmLocked built:
-  // RAM then ROM across the unmediated runs, MMIO after. Same split logic,
-  // staged into new_regions instead of the live VM.
-  auto add_unmediated_regions = [&](uint64_t hpa, uint64_t bytes) {
-    uint64_t remaining = bytes;
-    while (remaining > 0) {
-      const bool is_ram = gpa_cursor < vm_config.memory_bytes;
-      const uint64_t limit = is_ram ? vm_config.memory_bytes - gpa_cursor : remaining;
-      const uint64_t piece = std::min(remaining, limit);
-      new_regions.push_back(VmRegion{is_ram ? MemoryType::kGuestRam : MemoryType::kGuestRom,
-                                     gpa_cursor, hpa, piece, vm_config.backing});
-      gpa_cursor += piece;
-      hpa += piece;
-      remaining -= piece;
-    }
-  };
-
-  const std::vector<uint32_t> available = AvailableGuestNodesLocked(target_socket);
-  std::vector<uint32_t> selected;
-  uint64_t capacity = 0;
-  for (uint32_t node_id : available) {
-    if (capacity >= unmediated_bytes) {
-      break;
-    }
-    NumaNode& node = *nodes_.Get(node_id).value();
-    selected.push_back(node_id);
-    capacity += AlignDown(node.allocator().free_bytes(), backing_bytes);
-  }
-  if (capacity < unmediated_bytes) {
-    return MakeError(ErrorCode::kNoMemory,
-                     "target socket " + std::to_string(target_socket) + " has only " +
-                         std::to_string(capacity) + " free guest-node bytes of " +
-                         std::to_string(unmediated_bytes) + " needed");
-  }
-  uint64_t remaining = unmediated_bytes;
-  for (uint32_t node_id : selected) {
-    node_owner_[node_id] = cgroup_name;
-    txn.OnRollback([this, node_id] {
-      mu_.AssertHeld();
-      node_owner_.erase(node_id);
-    });
-    NumaNode& node = *nodes_.Get(node_id).value();
-    new_nodes.emplace_back(node_id, node.first_group());
-    const uint64_t chunk =
-        std::min(remaining, AlignDown(node.allocator().free_bytes(), backing_bytes));
-    if (chunk == 0) {
-      continue;
-    }
-    Result<std::vector<PhysRange>> runs = AllocateRuns(node, chunk, OrderOf(vm_config.backing));
-    SILOZ_RETURN_IF_ERROR(runs);
-    for (const PhysRange& run : *runs) {
-      log_backing(Backing{node_id, run.begin, run.size(), OrderOf(vm_config.backing)});
-      add_unmediated_regions(run.begin, run.size());
-    }
-    remaining -= chunk;
-  }
-  SILOZ_CHECK_EQ(remaining, 0u);
-
-  if (vm_config.mmio_bytes > 0) {
-    NumaNode& host = *nodes_.Get(host_node_by_socket_[target_socket]).value();
-    const uint64_t mmio_bytes = AlignUp(vm_config.mmio_bytes, kPage4K);
-    Result<uint64_t> mmio = AllocateContiguous(host, mmio_bytes, kOrder4K);
-    SILOZ_RETURN_IF_ERROR(mmio);
-    log_backing(Backing{host.id(), *mmio, mmio_bytes, kOrder4K});
-    new_regions.push_back(
-        VmRegion{MemoryType::kMmio, gpa_cursor, *mmio, mmio_bytes, PageSize::k4K});
-  }
+  Result<Placement> target = StagePlacement(vm_config, target_socket, vm.cgroup_name(), txn);
+  SILOZ_RETURN_IF_ERROR(target);
 
   // --- New EPT from the *target* socket's protected pool ---
   // The EPT object keeps its page allocator for life, so the vector the
   // allocator fills must outlive this function: stash the source pages in a
   // local and reuse the VM's stable map node for the target pages — the same
-  // lifetime contract CreateVmLocked relies on. The undo returns the drawn
-  // target pages and restores the source set.
+  // lifetime contract CreateVmLocked relies on. This undo runs after
+  // BuildTable's has returned the target pages, and restores the source set.
   auto pages_it = vm_ept_pages_.find(id);
   SILOZ_CHECK(pages_it != vm_ept_pages_.end());
-  old_ept_pages = std::move(pages_it->second);
-  pages_it->second.clear();
-  txn.OnRollback([this, id, target_socket, &old_ept_pages] {
-    mu_.AssertHeld();  // txn unwinds inside MigrateVmLocked
-    auto entry = vm_ept_pages_.find(id);
-    SILOZ_CHECK(entry != vm_ept_pages_.end());
-    while (!entry->second.empty()) {
-      SILOZ_CHECK(ReturnEptPage(target_socket, entry->second.back()).ok())
-          << "rollback failed to return EPT page";
-      entry->second.pop_back();
-    }
-    entry->second = std::move(old_ept_pages);
-  });
-  Result<std::unique_ptr<ExtendedPageTable>> new_ept = ExtendedPageTable::Create(
-      memory_, MakeEptAllocator(target_socket, &pages_it->second),
-      /*secure=*/config_.ept_protection == EptProtection::kSecureEpt);
+  std::vector<uint64_t>& ept_pages = pages_it->second;
+  old_ept_pages = std::move(ept_pages);
+  ept_pages.clear();
+  txn.OnRollback([&ept_pages, &old_ept_pages] { ept_pages = std::move(old_ept_pages); });
+  Result<std::unique_ptr<ExtendedPageTable>> new_ept =
+      BuildTable(target_socket, target->regions, ept_pages, txn);
   SILOZ_RETURN_IF_ERROR(new_ept);
-  for (const VmRegion& region : new_regions) {
-    if (!IsUnmediated(region.type)) {
-      continue;
-    }
-    const uint64_t step = OrderBytes(OrderOf(region.page_size));
-    for (uint64_t offset = 0; offset < region.bytes; offset += step) {
-      SILOZ_RETURN_IF_ERROR(
-          (*new_ept)->Map(region.gpa + offset, region.hpa + offset, region.page_size));
-    }
-  }
 
   // --- Copy the guest image, matched by guest-physical address ---
   // Both region lists are GPA-ascending over the same span by construction
-  // (the cursor above replays creation), so a single forward walk pairs them.
-  // Infallible, and writes only into the still-uncommitted target backing, so
-  // it runs last before the commit point.
+  // (StagePlacement lays out the same config), so a single forward walk pairs
+  // them. Infallible, and writes only into the still-uncommitted target
+  // backing, so it runs last before the commit point.
   {
+    const std::vector<VmRegion>& new_regions = target->regions;
     size_t ni = 0;
     for (const VmRegion& old_region : vm.regions()) {
       uint64_t gpa = old_region.gpa;
@@ -969,10 +938,10 @@ Status SilozHypervisor::MigrateVmLocked(VmId id, uint32_t target_socket) {
           ++ni;
         }
         SILOZ_CHECK_LT(ni, new_regions.size());
-        const VmRegion& target = new_regions[ni];
-        SILOZ_CHECK_LE(target.gpa, gpa);
-        const uint64_t chunk = std::min(end, target.gpa + target.bytes) - gpa;
-        memory_.CopyPhys(target.hpa + (gpa - target.gpa),
+        const VmRegion& region = new_regions[ni];
+        SILOZ_CHECK_LE(region.gpa, gpa);
+        const uint64_t chunk = std::min(end, region.gpa + region.bytes) - gpa;
+        memory_.CopyPhys(region.hpa + (gpa - region.gpa),
                          old_region.hpa + (gpa - old_region.gpa), chunk);
         gpa += chunk;
       }
@@ -990,26 +959,16 @@ Status SilozHypervisor::MigrateVmLocked(VmId id, uint32_t target_socket) {
   for (Backing& run : backing_it->second) {
     SILOZ_CHECK(FreeBackingBlocks(run).ok()) << "migration failed to free source backing";
   }
-  backing_it->second = std::move(new_backing);
-  while (!old_ept_pages.empty()) {
-    SILOZ_CHECK(ReturnEptPage(source_socket, old_ept_pages.back()).ok())
-        << "migration failed to return source EPT page";
-    old_ept_pages.pop_back();
-  }
+  backing_it->second = std::move(target->backing);
+  SILOZ_CHECK(ReturnTablePages(source_socket, old_ept_pages).ok())
+      << "migration failed to return source EPT pages";
   for (uint32_t node : vm.guest_nodes()) {
     node_owner_.erase(node);
   }
   vm.ResetPlacement(target_socket);
-  std::set<uint32_t> mems;
-  for (const auto& [node_id, first_group] : new_nodes) {
-    vm.AddGuestNode(node_id, first_group);
-    mems.insert(node_id);
-  }
-  for (const VmRegion& region : new_regions) {
-    vm.AddRegion(region);
-  }
+  const std::set<uint32_t> mems = target->InstallOn(vm);
   vm.SetEpt(std::move(*new_ept));
-  Result<ControlGroup*> cgroup = cgroups_.Get(cgroup_name);
+  Result<ControlGroup*> cgroup = cgroups_.Get(vm.cgroup_name());
   SILOZ_CHECK(cgroup.ok()) << "VM cgroup vanished mid-migration";
   (*cgroup)->SetMemsAllowed(mems);
   ++obs_counts_.vms_migrated;
@@ -1033,44 +992,8 @@ Status SilozHypervisor::AuditVmIsolationLocked(VmId id) const {
     return MakeError(ErrorCode::kNotFound, "no VM " + std::to_string(id));
   }
   const Vm& vm = *it->second;
-  const ExtendedPageTable* ept = vm.ept();
-  SILOZ_CHECK(ept != nullptr);
-
-  for (const VmRegion& region : vm.regions()) {
-    if (!IsUnmediated(region.type)) {
-      continue;
-    }
-    const uint64_t step = OrderBytes(OrderOf(region.page_size));
-    for (uint64_t offset = 0; offset < region.bytes; offset += step) {
-      Result<uint64_t> hpa = ept->Translate(region.gpa + offset);
-      SILOZ_RETURN_IF_ERROR(hpa);  // secure-EPT integrity failures surface here
-      if (*hpa != region.hpa + offset) {
-        ++obs_counts_.ept_violations;
-        return MakeError(ErrorCode::kIntegrityViolation,
-                         "EPT maps GPA " + std::to_string(region.gpa + offset) + " to HPA " +
-                             std::to_string(*hpa) + ", expected " +
-                             std::to_string(region.hpa + offset) +
-                             " — subarray group escape");
-      }
-    }
-  }
-  // Guard-row mode: every EPT table page must still live in the protected
-  // row group.
-  if (config_.enabled && config_.ept_protection == EptProtection::kGuardRows) {
-    const auto& pool_ranges = ept_pool_ranges_[vm.config().socket];
-    for (uint64_t page : ept->table_pages()) {
-      bool inside = false;
-      for (const PhysRange& range : pool_ranges) {
-        inside |= range.Contains(page);
-      }
-      if (!inside) {
-        ++obs_counts_.ept_violations;
-        return MakeError(ErrorCode::kIntegrityViolation,
-                         "EPT table page outside the protected row group");
-      }
-    }
-  }
-  return Status::Ok();
+  SILOZ_CHECK(vm.ept() != nullptr);
+  return AuditTable("EPT", *vm.ept(), vm);
 }
 
 Result<uint32_t> SilozHypervisor::AssignPassthroughDevice(VmId vm_id, const std::string& name) {
@@ -1084,39 +1007,15 @@ Result<uint32_t> SilozHypervisor::AssignPassthroughDevice(VmId vm_id, const std:
   PassthroughDevice device;
   device.name = name;
   device.vm = vm_id;
-  // A failed assignment (pool exhaustion mid-Map, say) must return every
-  // table page already drawn; before this undo the pages leaked with the
-  // discarded device struct.
-  ReservationTransaction txn;
-  const uint32_t socket = (*vm)->config().socket;
-  txn.OnRollback([this, socket, &device] {
-    mu_.AssertHeld();  // txn unwinds inside AssignPassthroughDevice
-    while (!device.table_pages.empty()) {
-      SILOZ_CHECK(ReturnEptPage(socket, device.table_pages.back()).ok())
-          << "rollback failed to return IOMMU table page";
-      device.table_pages.pop_back();
-    }
-  });
   // IOMMU table pages come from the same protected path as EPT pages
-  // (requirement (2) of §5.1).
-  Result<std::unique_ptr<ExtendedPageTable>> iommu = ExtendedPageTable::Create(
-      memory_, MakeEptAllocator(socket, &device.table_pages),
-      /*secure=*/config_.ept_protection == EptProtection::kSecureEpt);
+  // (requirement (2) of §5.1), and IOVA space mirrors the guest-physical
+  // layout of unmediated regions (requirement (1): the device can only reach
+  // the guest's groups). A failed build returns every page already drawn.
+  ReservationTransaction txn;
+  Result<std::unique_ptr<ExtendedPageTable>> iommu =
+      BuildTable((*vm)->config().socket, (*vm)->regions(), device.table_pages, txn);
   SILOZ_RETURN_IF_ERROR(iommu);
   device.iommu = std::move(*iommu);
-  // IOVA space mirrors the guest-physical layout of unmediated regions
-  // (requirement (1): the device can only reach the guest's groups).
-  for (const VmRegion& region : (*vm)->regions()) {
-    if (!IsUnmediated(region.type)) {
-      continue;
-    }
-    const uint64_t step = OrderBytes(OrderOf(region.page_size));
-    for (uint64_t offset = 0; offset < region.bytes; offset += step) {
-      Status mapped =
-          device.iommu->Map(region.gpa + offset, region.hpa + offset, region.page_size);
-      SILOZ_RETURN_IF_ERROR(mapped);
-    }
-  }
   txn.Commit();
   devices_.emplace(id, std::move(device));
   return id;
@@ -1159,42 +1058,9 @@ Status SilozHypervisor::AuditDeviceIsolation(uint32_t device_id) const {
   if (it == devices_.end()) {
     return MakeError(ErrorCode::kNotFound, "no device " + std::to_string(device_id));
   }
-  const PassthroughDevice& device = it->second;
-  auto vm_it = vms_.find(device.vm);
+  auto vm_it = vms_.find(it->second.vm);
   SILOZ_CHECK(vm_it != vms_.end());
-  const Vm& vm = *vm_it->second;
-  for (const VmRegion& region : vm.regions()) {
-    if (!IsUnmediated(region.type)) {
-      continue;
-    }
-    const uint64_t step = OrderBytes(OrderOf(region.page_size));
-    for (uint64_t offset = 0; offset < region.bytes; offset += step) {
-      Result<uint64_t> hpa = device.iommu->Translate(region.gpa + offset);
-      SILOZ_RETURN_IF_ERROR(hpa);
-      if (*hpa != region.hpa + offset) {
-        ++obs_counts_.ept_violations;
-        return MakeError(ErrorCode::kIntegrityViolation,
-                         "IOMMU maps IOVA " + std::to_string(region.gpa + offset) +
-                             " to HPA " + std::to_string(*hpa) + ", expected " +
-                             std::to_string(region.hpa + offset));
-      }
-    }
-  }
-  if (config_.enabled && config_.ept_protection == EptProtection::kGuardRows) {
-    const auto& pool_ranges = ept_pool_ranges_[vm.config().socket];
-    for (uint64_t page : device.iommu->table_pages()) {
-      bool inside = false;
-      for (const PhysRange& range : pool_ranges) {
-        inside |= range.Contains(page);
-      }
-      if (!inside) {
-        ++obs_counts_.ept_violations;
-        return MakeError(ErrorCode::kIntegrityViolation,
-                         "IOMMU table page outside the protected row group");
-      }
-    }
-  }
-  return Status::Ok();
+  return AuditTable("IOMMU", *it->second.iommu, *vm_it->second);
 }
 
 Status SilozHypervisor::RemovePassthroughDevice(uint32_t device_id) {
@@ -1208,11 +1074,7 @@ Status SilozHypervisor::RemovePassthroughDeviceLocked(uint32_t device_id) {
     return MakeError(ErrorCode::kNotFound, "no device " + std::to_string(device_id));
   }
   const uint32_t socket = vms_.at(it->second.vm)->config().socket;
-  std::vector<uint64_t>& pages = it->second.table_pages;
-  while (!pages.empty()) {
-    SILOZ_RETURN_IF_ERROR(ReturnEptPage(socket, pages.back()));
-    pages.pop_back();
-  }
+  SILOZ_RETURN_IF_ERROR(ReturnTablePages(socket, it->second.table_pages));
   devices_.erase(it);
   return Status::Ok();
 }

@@ -20,6 +20,7 @@
 #include "src/addr/subarray_group.h"
 #include "src/base/mutex.h"
 #include "src/base/result.h"
+#include "src/base/transaction.h"
 #include "src/ept/ept.h"
 #include "src/ept/phys_memory.h"
 #include "src/hostmem/cgroup.h"
@@ -73,15 +74,16 @@ class SilozHypervisor {
   Status ReleaseVmNodes(VmId id);
 
   // Moves a live VM to `target_socket` (§7: the defragmentation remedy for
-  // stranded capacity under churn): reserves whole subarray groups there,
-  // copies the guest image GPA-for-GPA, rebuilds the EPT from the target
-  // socket's protected pool, and retargets the VM's control group. All
-  // target-side reservations are transactional — any failure (target
-  // exhausted, EPT pool empty, an armed fault point) rolls back and leaves
-  // the VM untouched on its source socket. Siloz mode only (the baseline has
-  // no subarray-group placement to move); VMs with passthrough devices must
-  // drop them first, since their IOMMU tables pin the source placement.
-  // The committed placement is re-audited before returning.
+  // stranded capacity under churn). The target placement is staged and its
+  // EPT built by the same path CreateVm uses, so a migrated VM gets exactly
+  // the nodes, regions and table pages a fresh CreateVm on the target would.
+  // The guest image is then copied GPA-for-GPA and the VM's control group
+  // retargeted. All target-side reservations are transactional — any failure
+  // (target exhausted, EPT pool empty, an armed fault point) rolls back and
+  // leaves the VM untouched on its source socket. Siloz mode only (the
+  // baseline has no subarray-group placement to move); VMs with passthrough
+  // devices must drop them first, since their IOMMU tables pin the source
+  // placement. The committed placement is re-audited before returning.
   Status MigrateVm(VmId id, uint32_t target_socket);
 
   Result<Vm*> GetVm(VmId id);
@@ -193,7 +195,8 @@ class SilozHypervisor {
   }
 
  private:
-  struct Backing;  // defined below
+  struct Backing;    // defined below
+  struct Placement;  // defined in hypervisor.cc
 
   // Lock-requiring bodies of the public lifecycle/device entry points, for
   // callers that already hold mu_ (HostShutdown, the device plane).
@@ -228,13 +231,40 @@ class SilozHypervisor {
   // (inter-subarray-repaired) row.
   Status QuarantineRepairedRows();
 
-  // The returned allocator runs inside CreateVm/AssignPassthroughDevice with
-  // mu_ held (its body asserts so).
+  // The returned allocator runs inside BuildTable with mu_ held (its body
+  // asserts so).
   EptPageAllocator MakeEptAllocator(uint32_t socket, std::vector<uint64_t>* pages_out);
 
-  // Return one table page drawn from MakeEptAllocator(socket, ...): back to
-  // the protected pool in guard mode, else to the socket's host node.
-  Status ReturnEptPage(uint32_t socket, uint64_t page) REQUIRES(mu_);
+  // --- The one placement path: CreateVm, MigrateVm and passthrough ---
+
+  // Stages `vm_config`'s placement on `socket`: whole free guest nodes marked
+  // owned by `owner` (Siloz) or one contiguous run of the socket's node
+  // (baseline), the unmediated backing laid out RAM then ROM in guest-physical
+  // order, and the mediated MMIO window after it. Every reservation registers
+  // its undo on `txn`; nothing is published to a Vm or a cgroup.
+  Result<Placement> StagePlacement(const VmConfig& vm_config, uint32_t socket,
+                                   const std::string& owner, ReservationTransaction& txn)
+      REQUIRES(mu_);
+
+  // Builds a translation table — a VM's EPT or a device's IOMMU table — from
+  // `socket`'s table-page source (§5.4), mapping every unmediated region with
+  // IOVA = GPA. Drawn pages land in `pages`, which must outlive both the
+  // table and `txn`; `txn` gets the undo that returns them.
+  Result<std::unique_ptr<ExtendedPageTable>> BuildTable(
+      uint32_t socket, const std::vector<VmRegion>& regions, std::vector<uint64_t>& pages,
+      ReservationTransaction& txn) REQUIRES(mu_);
+
+  // Re-walks `table` over `vm`'s unmediated regions and, in guard-row mode,
+  // checks its pages lie in the protected row group. `kind` ("EPT" or
+  // "IOMMU") prefixes the error.
+  Status AuditTable(const char* kind, const ExtendedPageTable& table, const Vm& vm) const
+      REQUIRES(mu_);
+
+  // Returns table pages drawn from MakeEptAllocator(socket, ...), newest
+  // first, to the protected pool in guard mode, else to the socket's host
+  // node. Each page is popped as it goes, so a failure leaves `pages` holding
+  // exactly the unreturned ones and a retry resumes there.
+  Status ReturnTablePages(uint32_t socket, std::vector<uint64_t>& pages) REQUIRES(mu_);
 
   // Free `backing` block by block, recording progress in place: each freed
   // block advances backing.phys and shrinks backing.bytes, so a failure

@@ -8,7 +8,6 @@
 #include "src/base/rng.h"
 #include "src/base/thread_pool.h"
 #include "src/memctl/sharded_engine.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace siloz {
@@ -314,9 +313,6 @@ namespace {
 // point with an equal platform configuration.
 Result<RunMeasurement> RunWorkloadOn(const RunnerConfig& config, const WorkloadSpec& spec,
                                      std::shared_ptr<const BootedPlatform> platform) {
-  if (!config.trace_out.empty()) {
-    obs::Tracer::Global().Enable();
-  }
   const std::vector<Rng> noise_rngs = ForkNoiseStreams(config, spec);
 
   // Timing mode boots the platform once (unless the caller shares one);
@@ -334,8 +330,8 @@ Result<RunMeasurement> RunWorkloadOn(const RunnerConfig& config, const WorkloadS
   PhaseTimer timer("trials");
   PoolMetrics pool_metrics;
   {
-    // Scoped so the pool's destructor flushes its scheduler counters before
-    // any metrics file below is written.
+    // Scoped so the pool's destructor flushes its scheduler counters, and the
+    // span closes, before the merge below.
     ThreadPool pool(config.threads);
     obs::TraceSpan span("trials:" + spec.name);
     ProgressMeter progress("trials:" + spec.name, config.trials);
@@ -357,12 +353,6 @@ Result<RunMeasurement> RunWorkloadOn(const RunnerConfig& config, const WorkloadS
   SILOZ_RETURN_IF_ERROR(merged);
   RunMeasurement measurement = std::move(*merged);
   measurement.pool = timer.Finish(pool_metrics);
-  if (!config.metrics_out.empty()) {
-    obs::WriteMetricsJson(config.metrics_out);
-  }
-  if (!config.trace_out.empty()) {
-    obs::WriteTraceJson(config.trace_out);
-  }
   return measurement;
 }
 

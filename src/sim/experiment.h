@@ -72,13 +72,6 @@ struct RunnerConfig {
   // results depend on placement, not size, so benches default smaller to
   // keep trace generation fast and note the substitution.
   VmConfig vm{.name = "bench", .memory_bytes = 6ull << 30, .socket = 0};
-  // When non-empty, RunWorkload writes the global metrics registry / the
-  // Chrome trace-event log to these paths after the trial loop. Out of band:
-  // report bytes never include metrics, and model-domain metric values are
-  // thread-count-invariant (DESIGN.md §9). Setting trace_out enables the
-  // global tracer.
-  std::string metrics_out;
-  std::string trace_out;
 };
 
 struct RunMeasurement {

@@ -170,6 +170,53 @@ TEST_F(MigrateTest, OneGibBackedVmMigrates) {
   EXPECT_TRUE(hv_.AuditVmIsolation(id).ok());
 }
 
+// MigrateVm stages its target through CreateVm's placement path, so a VM
+// migrated onto socket 1 must get exactly what a fresh create there would:
+// the same regions, nodes and EPT pages, and the same pool depth left over.
+TEST_F(MigrateTest, MigratedPlacementMatchesFreshCreateOnTarget) {
+  for (const PageSize backing : {PageSize::k2M, PageSize::k1G}) {
+    for (const uint64_t mmio_bytes : {uint64_t{0}, uint64_t{1_MiB}}) {
+      SCOPED_TRACE(testing::Message() << "backing " << static_cast<int>(backing) << " mmio "
+                                      << mmio_bytes);
+      VmConfig config{.name = "twin",
+                      .memory_bytes = 3_GiB,
+                      .rom_bytes = backing == PageSize::k1G ? 1_GiB : 2_MiB,
+                      .mmio_bytes = mmio_bytes,
+                      .socket = 0,
+                      .backing = backing};
+      FlatPhysMemory migrated_memory;
+      SilozHypervisor migrated(decoder_, migrated_memory, SilozConfig{});
+      ASSERT_TRUE(migrated.Boot().ok());
+      const VmId moved = *migrated.CreateVm(config);
+      ASSERT_TRUE(migrated.MigrateVm(moved, 1).ok());
+
+      FlatPhysMemory fresh_memory;
+      SilozHypervisor fresh(decoder_, fresh_memory, SilozConfig{});
+      ASSERT_TRUE(fresh.Boot().ok());
+      config.socket = 1;
+      const VmId created = *fresh.CreateVm(config);
+
+      const Vm& a = **migrated.GetVm(moved);
+      const Vm& b = **fresh.GetVm(created);
+      ASSERT_EQ(a.regions().size(), b.regions().size());
+      for (size_t i = 0; i < a.regions().size(); ++i) {
+        const VmRegion& x = a.regions()[i];
+        const VmRegion& y = b.regions()[i];
+        EXPECT_EQ(x.type, y.type) << "region " << i;
+        EXPECT_EQ(x.gpa, y.gpa) << "region " << i;
+        EXPECT_EQ(x.hpa, y.hpa) << "region " << i;
+        EXPECT_EQ(x.bytes, y.bytes) << "region " << i;
+        EXPECT_EQ(x.page_size, y.page_size) << "region " << i;
+      }
+      EXPECT_EQ(a.regions().back().type, mmio_bytes > 0 ? MemoryType::kMmio
+                                                        : MemoryType::kGuestRom);
+      EXPECT_EQ(a.guest_nodes(), b.guest_nodes());
+      EXPECT_EQ(a.ept()->table_pages(), b.ept()->table_pages());
+      EXPECT_EQ(migrated.ept_pool_free(1), fresh.ept_pool_free(1));
+    }
+  }
+}
+
 // Every reachable allocation fault point inside MigrateVm must leave the
 // hypervisor exactly as it was: the VM intact at the source, no leaked
 // nodes, backing, or EPT pages — and create→migrate→destroy→release a

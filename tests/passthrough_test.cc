@@ -110,6 +110,40 @@ TEST_F(PassthroughTest, RemoveDeviceReturnsPoolPages) {
   EXPECT_FALSE(hypervisor.RemovePassthroughDevice(*nic).ok());
 }
 
+// A device assigned after a migration is built on the VM's new placement:
+// its IOMMU tables come from the target socket's pool and its DMAs land in
+// the migrated regions.
+TEST_F(PassthroughTest, DeviceOnMigratedVmUsesTargetPool) {
+  auto hypervisor_owner = MakeBooted();
+  SilozHypervisor& hypervisor = *hypervisor_owner;
+  Result<VmId> vm = hypervisor.CreateVm({.name = "a", .memory_bytes = 1536_MiB, .socket = 0});
+  ASSERT_TRUE(vm.ok());
+  ASSERT_TRUE(hypervisor.MigrateVm(*vm, 1).ok());
+  const size_t pool_before = hypervisor.ept_pool_free(1);
+  Result<uint32_t> nic = hypervisor.AssignPassthroughDevice(*vm, "nic0");
+  ASSERT_TRUE(nic.ok()) << nic.error().ToString();
+
+  const std::vector<uint64_t> pages = *hypervisor.DeviceTablePages(*nic);
+  ASSERT_FALSE(pages.empty());
+  for (uint64_t page : pages) {
+    bool inside = false;
+    for (const PhysRange& range : hypervisor.ept_pool_ranges(1)) {
+      inside |= range.Contains(page);
+    }
+    EXPECT_TRUE(inside) << "IOMMU table page " << page << " outside socket 1's pool";
+  }
+  EXPECT_TRUE(hypervisor.AuditDeviceIsolation(*nic).ok());
+
+  const VmRegion& ram = (*hypervisor.GetVm(*vm))->regions()[0];
+  ASSERT_EQ(ram.type, MemoryType::kGuestRam);
+  Result<uint64_t> hpa = hypervisor.DeviceDma(*nic, 0x100);
+  ASSERT_TRUE(hpa.ok()) << hpa.error().ToString();
+  EXPECT_EQ(*hpa, ram.hpa + 0x100);
+
+  ASSERT_TRUE(hypervisor.RemovePassthroughDevice(*nic).ok());
+  EXPECT_EQ(hypervisor.ept_pool_free(1), pool_before);
+}
+
 TEST_F(PassthroughTest, SecureIommuDetectsCorruption) {
   SilozConfig config;
   config.ept_protection = EptProtection::kSecureEpt;
