@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   FleetConfig base;
   FlagSet flags("bench_fleet_churn");
-  flags.Add("--threads", &base.threads, "replay workers (0 = auto)");
+  flags.Add("--threads", &base.threads, "trace-synthesis workers (0 = auto)");
   flags.ParseOrExit(argc, argv, 2);
   base.duration_s = 200.0;
   base.arrivals_per_s = 20.0;  // ~4000 arrivals, ~2500 concurrent at steady state

@@ -257,7 +257,7 @@ int CmdFleet(FlagSet& flags, int argc, char** argv) {
   flags.Add("--policy", &policy, "admission policy at capacity",
             {.choices = {"reject", "queue", "defrag"}});
   flags.Add("--seed", &config.seed, "root seed of the arrival trace");
-  flags.Add("--threads", &config.threads, "replay workers (0 = auto)");
+  flags.Add("--threads", &config.threads, "trace-synthesis workers (0 = auto)");
   flags.Add("--duration S", &config.duration_s, "simulated seconds of arrivals");
   flags.Add("--rate R", &config.arrivals_per_s, "mean arrivals per second");
   flags.Add("--burst A", &config.burst_amplitude, "diurnal modulation amplitude");

@@ -56,7 +56,8 @@ inline constexpr uint8_t kDecodedRemote = 0x2;  // issued from the other socket
 // Resolves a media address to DecodedCmd coordinates. The single source of
 // the index arithmetic: MemoryController::DecodeCmd and the workload
 // streamer's fused decode pass (TraceStreamer::ForEachDecoded) both call
-// this, so their commands are field-for-field identical by construction.
+// this, so their commands are field-for-field identical by construction
+// (workload_test pins ForEachDecoded against GenerateTrace).
 inline DecodedCmd DecodeMediaCmd(const DramGeometry& geometry, const MediaAddress& address,
                                  uint8_t flags) {
   const uint32_t bank_index = SocketBankIndex(geometry, address);

@@ -32,12 +32,12 @@ namespace siloz {
 
 // Thread-safety: the VM lifecycle (CreateVm/DestroyVm/ReleaseVmNodes/
 // HostShutdown), the passthrough-device plane, and the allocation-policy
-// entry points are serialized on an internal mutex, so concurrent callers
-// (the fleet-churn simulator's arrival/departure threads) are safe. Boot()
-// must still happen-before any other call, and the objects reachable by
-// reference — nodes(), cgroups(), Vm* from GetVm() — are only mutated under
-// that mutex by lifecycle operations; callers that mutate them directly
-// need external synchronization.
+// entry points are serialized on one internal mutex, so concurrent callers
+// are safe but gain no parallelism (the fleet-churn simulator therefore
+// replays serially). Boot() must still happen-before any other call, and the
+// objects reachable by reference — nodes(), cgroups(), Vm* from GetVm() —
+// are only mutated under that mutex by lifecycle operations; callers that
+// mutate them directly need external synchronization.
 class SilozHypervisor {
  public:
   // `decoder` is the platform's fixed physical-to-media mapping; `memory` is

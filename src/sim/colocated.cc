@@ -38,11 +38,7 @@ Result<std::vector<TenantResult>> RunColocated(const RunnerConfig& config,
   if (tenants.empty()) {
     return MakeError(ErrorCode::kInvalidArgument, "no tenants");
   }
-  MachineConfig machine_config;
-  machine_config.geometry = config.geometry;
-  machine_config.decoder = config.decoder;
-  machine_config.timings = config.timings;
-  Machine machine(machine_config);
+  Machine machine(MachineConfigFor(config));
 
   SilozHypervisor hypervisor(machine.decoder(), machine.phys_memory(), config.hypervisor);
   SILOZ_RETURN_IF_ERROR(hypervisor.Boot());

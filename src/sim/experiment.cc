@@ -52,8 +52,9 @@ Result<ShardedEngineResult> ServeTrial(const RunnerConfig& config, const Workloa
   sharded.engine.compute_ns_per_access = spec.compute_ns_per_access;
   sharded.channels_per_shard = config.channels_per_shard;
   sharded.bank_groups_per_queue = config.bank_groups_per_queue;
-  // Trial-level parallelism already saturates the run's pool; nested shard
-  // workers would only oversubscribe. Thread counts never change results.
+  // The grid's (point, trial) tasks are the run's one parallel level; nested
+  // shard workers would only oversubscribe. Thread counts never change
+  // results.
   sharded.threads = 1;
   if (materialized != nullptr) {
     *materialized = GenerateTrace(spec, decoder, vm.regions(), config.vm.socket, trace_seed);
@@ -110,14 +111,7 @@ Result<TrialOutcome> RunTimingTrial(const RunnerConfig& config, const WorkloadSp
 // materialized once and consumed twice: timing serve, then device replay.
 Result<TrialOutcome> RunFaultTrial(const RunnerConfig& config, const WorkloadSpec& spec,
                                    uint32_t trial, Rng noise_rng) {
-  MachineConfig machine_config;
-  machine_config.geometry = config.geometry;
-  machine_config.decoder = config.decoder;
-  machine_config.platform = config.platform;
-  machine_config.timings = config.timings;
-  machine_config.fault_tracking = true;  // timing fidelity (DESIGN.md §4)
-  machine_config.dimm_profiles = config.dimm_profiles;
-  Machine machine(machine_config);
+  Machine machine(MachineConfigFor(config));
 
   SilozHypervisor hypervisor(machine.decoder(), machine.phys_memory(), config.hypervisor);
   SILOZ_RETURN_IF_ERROR(hypervisor.Boot());
@@ -135,7 +129,7 @@ Result<TrialOutcome> RunFaultTrial(const RunnerConfig& config, const WorkloadSpe
 
   TrialOutcome outcome =
       FinishTrial(config, *served, *controllers[config.vm.socket], noise_rng);
-  // Trials run on pool workers, so the replay itself stays single-threaded
+  // Trials are the run's parallel level, so the replay runs on one worker
   // here; the shard decomposition still matches the serve engine's.
   ReplayDisturbance(machine, trace, config.channels_per_shard, /*threads=*/1);
   for (const PhysFlip& flip : machine.DrainFlips()) {
@@ -158,14 +152,7 @@ struct BootedPlatform {
 };
 
 Result<std::shared_ptr<const BootedPlatform>> BootPlatform(const RunnerConfig& config) {
-  MachineConfig machine_config;
-  machine_config.geometry = config.geometry;
-  machine_config.decoder = config.decoder;
-  machine_config.platform = config.platform;
-  machine_config.timings = config.timings;
-  machine_config.fault_tracking = false;
-  machine_config.dimm_profiles = config.dimm_profiles;
-  auto platform = std::make_shared<BootedPlatform>(std::move(machine_config));
+  auto platform = std::make_shared<BootedPlatform>(MachineConfigFor(config));
   platform->hypervisor.emplace(platform->machine.decoder(), platform->machine.phys_memory(),
                                config.hypervisor);
   SILOZ_RETURN_IF_ERROR(platform->hypervisor->Boot());
@@ -187,10 +174,8 @@ bool SamePlatformConfig(const RunnerConfig& a, const RunnerConfig& b) {
          a.platform == b.platform && a.geometry == b.geometry && a.vm == b.vm;
 }
 
-// Deterministic merge of one run's trial outcomes: trial order, lowest-index
-// error wins. Shared by the RunWorkload trial loop and the flattened grid,
-// so a grid point's measurement is byte-identical to a standalone run's
-// (scheduler metrics aside).
+// Deterministic merge of one point's trial outcomes: trial order,
+// lowest-index error wins.
 Result<RunMeasurement> MergeTrialOutcomes(std::span<const Result<TrialOutcome>> outcomes) {
   RunMeasurement measurement;
   for (const Result<TrialOutcome>& result : outcomes) {
@@ -227,6 +212,17 @@ std::vector<Rng> ForkNoiseStreams(const RunnerConfig& config, const WorkloadSpec
 }
 
 }  // namespace
+
+MachineConfig MachineConfigFor(const RunnerConfig& config) {
+  MachineConfig machine_config;
+  machine_config.geometry = config.geometry;
+  machine_config.decoder = config.decoder;
+  machine_config.platform = config.platform;
+  machine_config.timings = config.timings;
+  machine_config.fault_tracking = config.fault_tracking;
+  machine_config.dimm_profiles = config.dimm_profiles;
+  return machine_config;
+}
 
 Status ApplyPlatform(RunnerConfig& config, std::string_view platform,
                      uint32_t rows_per_subarray) {
@@ -296,72 +292,19 @@ void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace,
           .Activate(media.rank, media.bank, media.row, clock0 + index * act_cost);
     }
   };
-  if (threads <= 1) {
-    for (uint32_t shard = 0; shard < plan.shard_count(); ++shard) {
-      replay_shard(shard);
-    }
-  } else {
-    ThreadPool pool(threads);
-    pool.ParallelFor(0, plan.shard_count(), replay_shard);
-  }
+  ThreadPool(threads).ParallelFor(0, plan.shard_count(), replay_shard);
 }
-
-namespace {
-
-// Trial loop over an optionally pre-booted platform. `platform` non-null
-// (timing mode only) skips the boot; the grid passes one platform to every
-// point with an equal platform configuration.
-Result<RunMeasurement> RunWorkloadOn(const RunnerConfig& config, const WorkloadSpec& spec,
-                                     std::shared_ptr<const BootedPlatform> platform) {
-  const std::vector<Rng> noise_rngs = ForkNoiseStreams(config, spec);
-
-  // Timing mode boots the platform once (unless the caller shares one);
-  // trials read only its immutable state (decoder LUTs, VM region placement)
-  // and own their timing state. Fault mode boots inside each trial instead
-  // (RunFaultTrial).
-  if (!config.fault_tracking && platform == nullptr) {
-    Result<std::shared_ptr<const BootedPlatform>> booted = BootPlatform(config);
-    SILOZ_RETURN_IF_ERROR(booted);
-    platform = std::move(*booted);
-  }
-
-  std::vector<Result<TrialOutcome>> outcomes(config.trials,
-                                             Result<TrialOutcome>(TrialOutcome{}));
-  PhaseTimer timer("trials");
-  PoolMetrics pool_metrics;
-  {
-    // Scoped so the pool's destructor flushes its scheduler counters, and the
-    // span closes, before the merge below.
-    ThreadPool pool(config.threads);
-    obs::TraceSpan span("trials:" + spec.name);
-    ProgressMeter progress("trials:" + spec.name, config.trials);
-    pool.ParallelFor(0, config.trials, [&](uint64_t trial) {
-      if (config.fault_tracking) {
-        outcomes[trial] =
-            RunFaultTrial(config, spec, static_cast<uint32_t>(trial), noise_rngs[trial]);
-      } else {
-        outcomes[trial] =
-            RunTimingTrial(config, spec, static_cast<uint32_t>(trial), noise_rngs[trial],
-                           platform->machine.decoder(), *platform->vm);
-      }
-      progress.Tick();
-    });
-    pool_metrics = pool.metrics();
-  }
-
-  Result<RunMeasurement> merged = MergeTrialOutcomes(outcomes);
-  SILOZ_RETURN_IF_ERROR(merged);
-  RunMeasurement measurement = std::move(*merged);
-  measurement.pool = timer.Finish(pool_metrics);
-  return measurement;
-}
-
-}  // namespace
 
 Result<RunMeasurement> RunWorkload(const RunnerConfig& config, const WorkloadSpec& spec) {
   SILOZ_RETURN_IF_ERROR(
       ValidateShardKnobs(config.channels_per_shard, config.bank_groups_per_queue));
-  return RunWorkloadOn(config, spec, nullptr);
+  PoolPhaseMetrics metrics;
+  Result<std::vector<RunMeasurement>> runs =
+      RunWorkloadGrid({GridPoint{config, spec}}, config.threads, &metrics);
+  SILOZ_RETURN_IF_ERROR(runs);
+  RunMeasurement measurement = std::move(runs->front());
+  measurement.pool = metrics;
+  return measurement;
 }
 
 Result<std::vector<RunMeasurement>> RunWorkloadGrid(const std::vector<GridPoint>& points,
@@ -407,8 +350,8 @@ Result<std::vector<RunMeasurement>> RunWorkloadGrid(const std::vector<GridPoint>
   // cells and their trials share a single work-stealing schedule instead of
   // nesting a serial trial pool inside each grid task (DESIGN.md §15) — a
   // figure grid's parallelism is points * trials, not points. Noise streams
-  // fork per point in trial order up front, exactly the forks RunWorkload
-  // draws, so the flattening is invisible in the results. Observability
+  // fork per point in trial order up front (ForkNoiseStreams), so the
+  // flattening is invisible in the results. Observability
   // files are never written per point (that would race and interleave); the
   // grid's caller writes once after all points complete.
   struct FlatTask {
@@ -457,7 +400,7 @@ Result<std::vector<RunMeasurement>> RunWorkloadGrid(const std::vector<GridPoint>
   }
 
   // Deterministic merge: point order, trial order within each point; the
-  // lowest-indexed failure wins, as with the nested loops.
+  // lowest-indexed failure wins.
   std::vector<RunMeasurement> measurements;
   measurements.reserve(points.size());
   for (size_t i = 0; i < points.size(); ++i) {

@@ -5,15 +5,16 @@
 // distinct trace seeds, and reports elapsed-time and bandwidth statistics
 // with 95% confidence intervals — the quantities the paper's figures plot.
 //
-// Trials are independent by construction and run concurrently on a
-// work-stealing pool (src/base/thread_pool.h): in timing mode they share
-// only the immutable booted platform (decoder, VM placement) and own private
+// Trials are independent by construction. A run's one parallel level is its
+// (point, trial) tasks on a single work-stealing pool (src/base/thread_pool.h);
+// RunWorkload is the one-point grid. In timing mode trials share only the
+// immutable booted platform (decoder, VM placement) and own private
 // controllers; in fault mode each trial gets a whole Machine (disturbance
 // devices accumulate per-trial state). Every trial draws a private Rng
 // forked from the run seed by trial index, and per-trial statistics are
 // merged in trial order. Results are therefore bit-identical for every
-// thread count, including the legacy serial path (threads = 1) — the
-// determinism contract of DESIGN.md §8.
+// thread count, threads = 1 included — the determinism contract of
+// DESIGN.md §8.
 #ifndef SILOZ_SRC_SIM_EXPERIMENT_H_
 #define SILOZ_SRC_SIM_EXPERIMENT_H_
 
@@ -44,7 +45,7 @@ struct RunnerConfig {
   uint32_t trials = 5;
   uint64_t seed = 42;
   // Worker threads for the trial loop: 0 = $SILOZ_THREADS or hardware
-  // concurrency, 1 = legacy serial path. Any value yields identical results.
+  // concurrency, 1 = inline on the caller. Any value yields identical results.
   uint32_t threads = 0;
   // Channel sharding of the engine (DESIGN.md §13): each block of N >= 1
   // channels is an independent command-queue shard and — in fault mode — its
@@ -84,7 +85,7 @@ struct RunMeasurement {
   // Requests served per shard, summed across trials, in shard-plan order
   // (socket-major, then channel block).
   std::vector<uint64_t> shard_requests;
-  // Scheduler/timing metrics of the trial loop ("trials" phase).
+  // Scheduler/timing metrics of the run's one-point grid ("grid" phase).
   PoolPhaseMetrics pool;
 };
 
@@ -102,12 +103,19 @@ struct RunMeasurement {
 Status ApplyPlatform(RunnerConfig& config, std::string_view platform,
                      uint32_t rows_per_subarray = 0);
 
-// Runs `spec` for config.trials independent traces (concurrently; see
-// above). In timing mode the machine + hypervisor boot once and trials share
-// only their immutable state (decoder, VM regions), each serving its trace
-// through trial-private controllers; fault mode boots per trial because the
-// disturbance devices accumulate per-trial state. A zero channels_per_shard
-// or bank_groups_per_queue is kInvalidArgument.
+// The machine a run of `config` boots: its geometry, decoder or platform,
+// timings, fault tracking and DIMM profiles. The one derivation shared by
+// the timing-mode boot, the fault-mode trials and RunColocated.
+MachineConfig MachineConfigFor(const RunnerConfig& config);
+
+// Runs `spec` for config.trials independent traces: the one-point
+// RunWorkloadGrid below on config.threads workers, with its "grid" phase
+// metrics in RunMeasurement::pool. In timing mode the machine + hypervisor
+// boot once and trials share only their immutable state (decoder, VM
+// regions), each serving its trace through trial-private controllers; fault
+// mode boots per trial because the disturbance devices accumulate per-trial
+// state. A zero channels_per_shard or bank_groups_per_queue is
+// kInvalidArgument.
 Result<RunMeasurement> RunWorkload(const RunnerConfig& config, const WorkloadSpec& spec);
 
 // Replays a request trace's activation stream into a fault-tracking
@@ -118,9 +126,10 @@ Result<RunMeasurement> RunWorkload(const RunnerConfig& config, const WorkloadSpe
 // so a channel shard can compute its own timestamps without global
 // coordination. The trace is partitioned like the serve engine's
 // (PartitionByShard; channels_per_shard >= 1, 0 CHECK-fails in ShardPlan)
-// and the shards replay on `threads` workers over channel-disjoint devices,
-// flip-identical to a trace-order replay by construction. Deterministic in the trace alone; the
-// machine clock itself is not advanced.
+// and the shards replay on `threads` workers (as in RunnerConfig::threads)
+// over channel-disjoint devices, flip-identical to a trace-order replay by
+// construction. Deterministic in the trace alone; the machine clock itself
+// is not advanced.
 void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace,
                        uint32_t channels_per_shard = 1, uint32_t threads = 1);
 

@@ -40,7 +40,8 @@ int64_t WallNs() {
 
 // One synthesized VM arrival. `seq` is the global trace index after the
 // merge — the deterministic tie-breaker and interval key. Names, not VM ids,
-// identify VMs everywhere: ids depend on cross-socket interleaving.
+// identify VMs everywhere: ids follow the socket-by-socket replay order, not
+// simulated time.
 struct Arrival {
   uint64_t time_ns = 0;
   uint64_t lifetime_ns = 0;
@@ -65,9 +66,9 @@ struct QueuedVm {
   uint64_t enqueue_ns;
 };
 
-// Everything one socket's replay owns. Disjoint per socket, so the epoch's
-// ParallelFor over sockets shares nothing but the (internally locked)
-// hypervisor — and the hypervisor state each socket touches is its own.
+// Everything one socket's replay owns. A socket's admissions depend only on
+// its own state and the hypervisor state of its own socket, so replaying the
+// sockets one after another in id order is the whole schedule.
 struct SocketState {
   std::vector<size_t> arrivals;  // indices into the merged trace, time-sorted
   size_t next_arrival = 0;
@@ -79,14 +80,13 @@ struct SocketState {
   std::deque<QueuedVm> queue;
   FleetSocketStats stats;
   std::vector<std::pair<uint64_t, uint64_t>> intervals;  // (admit, depart)
-  Status error = Status::Ok();  // first unexpected failure; checked per epoch
 
   bool Idle() const {
     return next_arrival >= arrivals.size() && departures.empty() && queue.empty();
   }
 };
 
-// The whole replay, bundled so the per-socket worker lambdas stay readable.
+// The whole replay: the merged trace, per-socket state, and the hypervisor.
 struct FleetRun {
   const FleetConfig& config;
   SilozHypervisor& hv;
@@ -101,9 +101,8 @@ struct FleetRun {
       : config(config_in), hv(hv_in) {}
 
   // Attempts one admission. Returns true on success, false on a capacity
-  // failure (counted as an exhaustion event); anything else is recorded in
-  // st.error. Runs on the socket's replay thread or the serial defrag pass.
-  bool TryAdmit(SocketState& st, const Arrival& arrival, uint64_t now_ns, bool from_queue) {
+  // failure (counted as an exhaustion event); any other failure is an error.
+  Result<bool> TryAdmit(SocketState& st, const Arrival& arrival, uint64_t now_ns, bool from_queue) {
     VmConfig vm_config;
     vm_config.name = arrival.name;
     vm_config.memory_bytes = arrival.bytes;
@@ -120,14 +119,10 @@ struct FleetRun {
         ++st.stats.exhaustion_events;
         return false;
       }
-      st.error = created.error();
-      return false;
+      return created.error();
     }
     Result<Vm*> vm = hv.GetVm(*created);
-    if (!vm.ok()) {
-      st.error = vm.error();
-      return false;
-    }
+    SILOZ_RETURN_IF_ERROR(vm);
     LiveVm live;
     live.id = *created;
     live.admit_ns = now_ns;
@@ -144,7 +139,7 @@ struct FleetRun {
     return true;
   }
 
-  void Depart(SocketState& st, uint64_t now_ns) {
+  Status Depart(SocketState& st, uint64_t now_ns) {
     auto first = st.departures.begin();
     const std::string name = first->second;
     st.departures.erase(first);
@@ -158,29 +153,30 @@ struct FleetRun {
       destroyed = hv.ReleaseVmNodes(vm.id);
     }
     teardown_hist->Observe(static_cast<uint64_t>(WallNs() - start));
-    if (!destroyed.ok()) {
-      st.error = destroyed.error();
-      return;
-    }
+    SILOZ_RETURN_IF_ERROR(destroyed);
     st.intervals.emplace_back(vm.admit_ns, vm.depart_ns);
     // A departure is the moment queued arrivals can fit; drain in FIFO order
     // until the head no longer does.
-    DrainQueue(st, now_ns);
+    return DrainQueue(st, now_ns);
   }
 
-  void DrainQueue(SocketState& st, uint64_t now_ns) {
-    while (!st.queue.empty() && st.error.ok()) {
+  Status DrainQueue(SocketState& st, uint64_t now_ns) {
+    while (!st.queue.empty()) {
       const QueuedVm& head = st.queue.front();
       if (now_ns - head.enqueue_ns > timeout_ns) {
         ++st.stats.abandoned;
         st.queue.pop_front();
         continue;
       }
-      if (!TryAdmit(st, trace[head.arrival_index], now_ns, /*from_queue=*/true)) {
+      Result<bool> admitted = TryAdmit(st, trace[head.arrival_index], now_ns,
+                                       /*from_queue=*/true);
+      SILOZ_RETURN_IF_ERROR(admitted);
+      if (!*admitted) {
         break;
       }
       st.queue.pop_front();
     }
+    return Status::Ok();
   }
 
   void ExpireQueue(SocketState& st, uint64_t now_ns) {
@@ -193,8 +189,8 @@ struct FleetRun {
   // Replays one socket serially up to (but excluding) `horizon_ns`.
   // Departures sort before arrivals at the same instant: the capacity a
   // departing VM frees is available to an arrival sharing its timestamp.
-  void ReplayTo(SocketState& st, uint64_t horizon_ns) {
-    while (st.error.ok()) {
+  Status ReplayTo(SocketState& st, uint64_t horizon_ns) {
+    while (true) {
       const uint64_t next_arrival_ns = st.next_arrival < st.arrivals.size()
                                            ? trace[st.arrivals[st.next_arrival]].time_ns
                                            : kNever;
@@ -205,23 +201,30 @@ struct FleetRun {
         break;
       }
       if (next_depart_ns <= next_arrival_ns) {
-        Depart(st, now_ns);
+        SILOZ_RETURN_IF_ERROR(Depart(st, now_ns));
         continue;
       }
-      const Arrival& arrival = trace[st.arrivals[st.next_arrival++]];
-      if (config.policy == AdmissionPolicy::kReject) {
-        if (!TryAdmit(st, arrival, now_ns, /*from_queue=*/false)) {
-          ++st.stats.rejected;
-        }
-        continue;
-      }
+      const size_t arrival_index = st.arrivals[st.next_arrival++];
+      const Arrival& arrival = trace[arrival_index];
       // kQueue / kDefrag: strict FIFO — an arrival never jumps a non-empty
       // queue, even if it would fit.
-      if (!st.queue.empty() || !TryAdmit(st, arrival, now_ns, /*from_queue=*/false)) {
-        st.queue.push_back(QueuedVm{st.arrivals[st.next_arrival - 1], arrival.time_ns});
+      if (config.policy != AdmissionPolicy::kReject && !st.queue.empty()) {
+        st.queue.push_back(QueuedVm{arrival_index, arrival.time_ns});
+        continue;
+      }
+      Result<bool> admitted = TryAdmit(st, arrival, now_ns, /*from_queue=*/false);
+      SILOZ_RETURN_IF_ERROR(admitted);
+      if (*admitted) {
+        continue;
+      }
+      if (config.policy == AdmissionPolicy::kReject) {
+        ++st.stats.rejected;
+      } else {
+        st.queue.push_back(QueuedVm{arrival_index, arrival.time_ns});
       }
     }
     ExpireQueue(st, horizon_ns);
+    return Status::Ok();
   }
 };
 
@@ -257,12 +260,13 @@ Status DefragPass(FleetRun& run, uint64_t now_ns, FleetReport& report) {
       if (st.queue.empty()) {
         break;
       }
-      if (run.TryAdmit(st, run.trace[st.queue.front().arrival_index], now_ns,
-                       /*from_queue=*/true)) {
+      Result<bool> admitted = run.TryAdmit(st, run.trace[st.queue.front().arrival_index],
+                                           now_ns, /*from_queue=*/true);
+      SILOZ_RETURN_IF_ERROR(admitted);
+      if (*admitted) {
         st.queue.pop_front();
         continue;
       }
-      SILOZ_RETURN_IF_ERROR(st.error);
       // Donor: fewest nodes first (cheapest copy, likeliest to fit), then
       // lexicographically-smallest name for determinism.
       const LiveVm* donor = nullptr;
@@ -441,8 +445,6 @@ Result<FleetReport> RunFleetChurn(const FleetConfig& config) {
   SILOZ_RETURN_IF_ERROR(hv.Boot());
   const ConservationSnapshot booted = CaptureConservation(hv);
 
-  ThreadPool pool(config.threads);
-
   // --- Stage 1: trace synthesis (parallel over fixed streams) ---
   const double per_stream_rate = config.arrivals_per_s / config.streams;
   const double peak_rate = per_stream_rate * (1.0 + config.burst_amplitude);
@@ -462,7 +464,8 @@ Result<FleetReport> RunFleetChurn(const FleetConfig& config) {
     stream_rngs.push_back(root.Fork(s));
   }
   std::vector<std::vector<Arrival>> per_stream(config.streams);
-  pool.ParallelFor(0, config.streams, [&](uint64_t s) {
+  // The run's one parallel level; everything after the merge is serial.
+  ThreadPool(config.threads).ParallelFor(0, config.streams, [&](uint64_t s) {
     Rng rng = stream_rngs[s];
     std::vector<Arrival>& out = per_stream[s];
     double t = 0.0;
@@ -527,7 +530,7 @@ Result<FleetReport> RunFleetChurn(const FleetConfig& config) {
   FleetReport report;
   report.trace_vms = run.trace.size();
 
-  // --- Stage 2/3: epoch replay with serial boundaries ---
+  // --- Stage 2/3: epoch replay, sockets in id order, then the boundary ---
   const uint64_t epoch_ns = SecondsToNs(config.epoch_s);
   uint64_t epoch = 0;
   while (true) {
@@ -541,10 +544,8 @@ Result<FleetReport> RunFleetChurn(const FleetConfig& config) {
     ++epoch;
     SILOZ_CHECK_LT(epoch, 10'000'000u) << "fleet replay failed to converge";
     const uint64_t horizon_ns = epoch * epoch_ns;
-    pool.ParallelFor(0, run.sockets.size(),
-                     [&](uint64_t s) { run.ReplayTo(run.sockets[s], horizon_ns); });
-    for (const SocketState& st : run.sockets) {
-      SILOZ_RETURN_IF_ERROR(st.error);
+    for (SocketState& st : run.sockets) {
+      SILOZ_RETURN_IF_ERROR(run.ReplayTo(st, horizon_ns));
     }
     if (config.policy == AdmissionPolicy::kDefrag) {
       SILOZ_RETURN_IF_ERROR(DefragPass(run, horizon_ns, report));

@@ -17,16 +17,19 @@
 //     (arrival time, stream, sequence) — bit-identical for any --threads N.
 //
 //  2. Epoch replay. Simulated time is cut into epochs. Within an epoch each
-//     socket replays its own arrivals/departures serially in timestamp
-//     order; sockets run in parallel on a work-stealing pool, which is safe
-//     AND deterministic because a socket's admission decisions depend only
-//     on that socket's state (its guest nodes, its EPT pool, its host node
-//     — all disjoint by construction). VM ids are interleaving-dependent
-//     and never appear in deterministic output; trace names are the keys.
+//     socket replays its own arrivals/departures in timestamp order, one
+//     socket after another in id order. A socket's admission decisions
+//     depend only on that socket's state (its guest nodes, its EPT pool, its
+//     host node — all disjoint by construction), so the socket order never
+//     changes an outcome. The replay is serial on purpose: every hypervisor
+//     entry point takes one lock, so socket-parallel replay only added lock
+//     contention and ran slower with more workers. VM ids follow the replay
+//     order and never appear in deterministic output; trace names are the
+//     keys.
 //
-//  3. Epoch boundaries. Behind a barrier, a single thread runs the
-//     cross-socket work: the defragmentation policy (MigrateVm donors from
-//     exhausted sockets to the emptiest peers, then retry the blocked
+//  3. Epoch boundaries. After every socket reaches the epoch's horizon, the
+//     cross-socket work runs: the defragmentation policy (MigrateVm donors
+//     from exhausted sockets to the emptiest peers, then retry the blocked
 //     admissions) and the stranded-capacity census.
 //
 // After the last arrival the replay drains naturally (every admitted VM
@@ -72,8 +75,8 @@ struct FleetConfig {
   DramGeometry geometry = FleetGeometry();
   AdmissionPolicy policy = AdmissionPolicy::kDefrag;
   uint64_t seed = 42;
-  // Worker threads (0 = $SILOZ_THREADS or hardware concurrency). Model
-  // outputs are identical for every value.
+  // Trace-synthesis workers (0 = $SILOZ_THREADS or hardware concurrency);
+  // the replay itself is serial. Model outputs are identical for every value.
   uint32_t threads = 0;
 
   // --- Trace shape (simulated time) ---

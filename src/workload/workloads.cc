@@ -288,7 +288,6 @@ TraceStreamer::TraceStreamer(const WorkloadSpec& spec, const AddressDecoder& dec
   SILOZ_CHECK(!ram_.empty());
   std::sort(ram_.begin(), ram_.end(),
             [](const VmRegion* a, const VmRegion* b) { return a->gpa < b->gpa; });
-  last_region_ = ram_.front();
 
   const uint64_t footprint =
       std::max<uint64_t>(kCacheLineBytes, std::min(spec.footprint_bytes, ram_bytes));
@@ -302,14 +301,14 @@ TraceStreamer::TraceStreamer(const WorkloadSpec& spec, const AddressDecoder& dec
   if (const auto* skylake = dynamic_cast<const SkylakeDecoder*>(&decoder)) {
     cursor_.emplace(*skylake, 0);
   }
-  request_.source_socket = source_socket;
+  source_socket_ = source_socket;
 }
 
 void TraceStreamer::MaterializeAll(MemRequest* out) {
   SILOZ_CHECK_EQ(index_, size_t{0});
   const std::vector<uint32_t>& ops = *ops_;
-  const uint32_t source_socket = request_.source_socket;
-  const VmRegion* last_region = last_region_;
+  const uint32_t source_socket = source_socket_;
+  const VmRegion* last_region = ram_.front();
   auto gpa_to_hpa = [&](uint64_t gpa) {
     if (gpa - last_region->gpa >= last_region->bytes) {
       auto it = std::upper_bound(ram_.begin(), ram_.end(), gpa,
@@ -349,7 +348,6 @@ void TraceStreamer::MaterializeAll(MemRequest* out) {
     }
   }
   index_ = ops.size();
-  last_region_ = last_region;
 }
 
 std::vector<MemRequest> GenerateTrace(const WorkloadSpec& spec, const AddressDecoder& decoder,

@@ -74,13 +74,12 @@ Result<WorkloadSpec> FindWorkload(const std::string& name);
 // the footprint (the generator checks footprints fit below the bit).
 inline constexpr uint32_t kOpWriteBit = 0x80000000u;
 
-// Streams the request sequence of one trial, one request at a time: the
-// guest walks its own GPA space; addresses translate through the region list
-// (the static GPA->HPA layout its EPT encodes) and then the platform
-// decoder. GenerateTrace materializes exactly this stream, so the two are
-// request-for-request identical by construction; the streaming form exists
-// so a pure timing run can feed the closed-loop engine directly without
-// writing (and re-reading) a multi-megabyte trace.
+// The request sequence of one trial: the guest walks its own GPA space;
+// addresses translate through the region list (the static GPA->HPA layout
+// its EPT encodes) and then the platform decoder. GenerateTrace materializes
+// this stream (MaterializeAll); ForEachDecoded feeds the same stream,
+// pre-decoded, straight into the serve engine, so a pure timing run never
+// writes (and re-reads) a multi-megabyte trace.
 class TraceStreamer {
  public:
   TraceStreamer(const WorkloadSpec& spec, const AddressDecoder& decoder,
@@ -89,42 +88,14 @@ class TraceStreamer {
 
   uint64_t size() const { return ops_->size(); }
 
-  // Returns the next request; the reference is valid until the following
-  // call. Must be called exactly size() times.
-  const MemRequest& Next() {
-    const uint32_t op = (*ops_)[index_++];
-    const uint64_t gpa = static_cast<uint64_t>(op & ~kOpWriteBit) * kCacheLineBytes;
-    const uint64_t hpa = GpaToHpa(gpa);
-    if (cursor_) {
-      // Sequential runs dominate most workloads, and a sequential step in
-      // GPA space is almost always a +64 B step in HPA space (EPT regions
-      // are large). Walk those with the decoder's incremental LineCursor — a
-      // one-counter ripple — and fall back to a full Reset (the same divide
-      // chain PhysToMedia runs) only when the stream jumps.
-      if (hpa == next_hpa_) [[likely]] {
-        cursor_->Advance();
-      } else if (hpa != next_hpa_ - kCacheLineBytes) {
-        cursor_->Reset(hpa);
-      }  // else: repeat of the previous line, cursor already there
-      next_hpa_ = hpa + kCacheLineBytes;
-      request_.address = cursor_->media();
-    } else {
-      request_.address = *decoder_->PhysToMedia(hpa);
-    }
-    request_.is_write = (op & kOpWriteBit) != 0;
-    return request_;
-  }
-
-  // Materialize the entire stream into out[0, size()) in one pass.
-  // Equivalent to size() calls of Next() — workloads_test checks the two
-  // element-for-element — but with the hot state (cursor, region hint) in
-  // locals. Must be the first consumption of the stream.
+  // Materialize the entire stream into out[0, size()) in one pass. Must be
+  // the first consumption of the stream.
   void MaterializeAll(MemRequest* out);
 
   // Stream the trial as controller-resolved commands: invokes
   // emit(const DecodedCmd&, uint32_t socket) once per access, in trace
-  // order, where the command equals DecodeMediaCmd over the request Next()
-  // would have produced (workloads_test pins the equivalence). This is the
+  // order, where the command equals DecodeMediaCmd over the matching
+  // GenerateTrace request (workload_test pins the equivalence). This is the
   // sharded engine's fast path: it skips the MediaAddress round-trip
   // entirely — on the Skylake cursor's channel-carry step (the common case)
   // the flat indices advance by two adds instead of re-deriving seven
@@ -135,8 +106,8 @@ class TraceStreamer {
     SILOZ_CHECK_EQ(index_, size_t{0});
     const std::vector<uint32_t>& ops = *ops_;
     const DramGeometry& geometry = decoder_->geometry();
-    const uint32_t source_socket = request_.source_socket;
-    const VmRegion* last_region = last_region_;
+    const uint32_t source_socket = source_socket_;
+    const VmRegion* last_region = ram_.front();
     auto gpa_to_hpa = [&](uint64_t gpa) {
       if (gpa - last_region->gpa >= last_region->bytes) {
         auto it = std::upper_bound(ram_.begin(), ram_.end(), gpa,
@@ -199,32 +170,14 @@ class TraceStreamer {
       }
     }
     index_ = ops.size();
-    last_region_ = last_region;
   }
 
  private:
-  uint64_t GpaToHpa(uint64_t gpa) {
-    // GPA streams are bursty (sequential runs, zipfian hot sets), so the
-    // region containing the previous access almost always contains the
-    // next; fall back to the binary search only on a region switch.
-    if (gpa - last_region_->gpa >= last_region_->bytes) {
-      auto it = std::upper_bound(
-          ram_.begin(), ram_.end(), gpa,
-          [](uint64_t value, const VmRegion* r) { return value < r->gpa; });
-      SILOZ_CHECK(it != ram_.begin());
-      last_region_ = *(it - 1);
-      SILOZ_DCHECK(gpa < last_region_->gpa + last_region_->bytes);
-    }
-    return last_region_->hpa + (gpa - last_region_->gpa);
-  }
-
   std::shared_ptr<const std::vector<uint32_t>> ops_;  // memoized line stream
   std::vector<const VmRegion*> ram_;                  // sorted by gpa
-  const VmRegion* last_region_ = nullptr;
   const AddressDecoder* decoder_ = nullptr;
   std::optional<SkylakeDecoder::LineCursor> cursor_;  // set for SkylakeDecoder
-  MemRequest request_;
-  uint64_t next_hpa_ = ~uint64_t{0};  // hpa that keeps the cursor valid
+  uint32_t source_socket_ = 0;
   size_t index_ = 0;
 };
 

@@ -92,6 +92,26 @@ TEST(ColocatedTest, SilozDoesNotChangeInterference) {
   EXPECT_LT(std::abs(siloz / baseline - 1.0), 0.01);
 }
 
+TEST(ColocatedTest, BootsTheConfiguredPlatformDecoder) {
+  // RunColocated must boot config.platform's decoder, not the legacy
+  // Skylake decoder over the platform's geometry: zen's XOR mapping spreads
+  // the tenant's lines differently, so its timing differs from the same run
+  // with the platform name cleared.
+  RunnerConfig zen;
+  ASSERT_TRUE(ApplyPlatform(zen, "zen").ok());
+  RunnerConfig cleared = zen;
+  cleared.platform.clear();
+  const std::vector<TenantSpec> tenants = {
+      {.vm_name = "solo", .memory_bytes = 3ull << 30, .socket = 0,
+       .workload = SmallSpec("redis-a")}};
+  Result<std::vector<TenantResult>> on_zen = RunColocated(zen, tenants);
+  Result<std::vector<TenantResult>> on_cleared = RunColocated(cleared, tenants);
+  ASSERT_TRUE(on_zen.ok()) << on_zen.error().ToString();
+  ASSERT_TRUE(on_cleared.ok()) << on_cleared.error().ToString();
+  EXPECT_EQ((*on_zen)[0].requests, (*on_cleared)[0].requests);
+  EXPECT_NE((*on_zen)[0].elapsed_ns, (*on_cleared)[0].elapsed_ns);
+}
+
 TEST(ColocatedTest, FailsCleanlyWhenTenantsDoNotFit) {
   RunnerConfig config;
   const std::vector<TenantSpec> tenants = {

@@ -3,6 +3,7 @@
 
 #include "src/addr/decoder.h"
 #include "src/base/units.h"
+#include "src/memctl/controller.h"
 #include "src/workload/workloads.h"
 
 namespace siloz {
@@ -125,10 +126,11 @@ TEST(WorkloadTest, DeterministicPerSeed) {
   EXPECT_TRUE(differs_from_c);
 }
 
-// The streaming and materialized forms are one implementation (workloads.h):
-// Next() called size() times must equal GenerateTrace element-for-element —
-// including across the LineCursor's fast/reset transitions — for both the
-// cursor-accelerated Skylake path and the generic-decoder fallback.
+// The fused decode pass and the materialized trace are one stream
+// (workloads.h): ForEachDecoded must emit DecodeMediaCmd over GenerateTrace
+// element-for-element — including across the LineCursor's carry, wrap and
+// reset transitions — for both the cursor-accelerated Skylake path and the
+// generic-decoder fallback.
 TEST(WorkloadTest, StreamerMatchesGeneratedTraceElementForElement) {
   const DramGeometry geometry;
   const SkylakeDecoder skylake(geometry);
@@ -137,22 +139,35 @@ TEST(WorkloadTest, StreamerMatchesGeneratedTraceElementForElement) {
   for (const AddressDecoder* decoder :
        std::initializer_list<const AddressDecoder*>{&skylake, &linear}) {
     // mlc-stream is near-fully sequential (cursor fast path), redis-a is
-    // zipfian-jumpy (cursor resets), terasort mixes the two.
+    // zipfian-jumpy (cursor resets), terasort mixes the two. Source socket 1
+    // makes every socket-0 command remote.
     for (const char* name : {"mlc-stream", "redis-a", "terasort"}) {
       WorkloadSpec spec = *FindWorkload(name);
       spec.accesses = 30000;
       const auto trace = GenerateTrace(spec, *decoder, regions, 1, 77);
       TraceStreamer stream(spec, *decoder, regions, 1, 77);
       ASSERT_EQ(stream.size(), trace.size()) << decoder->name() << "/" << name;
-      for (size_t i = 0; i < trace.size(); ++i) {
-        const MemRequest& request = stream.Next();
-        ASSERT_EQ(request.address, trace[i].address)
-            << decoder->name() << "/" << name << " element " << i;
-        ASSERT_EQ(request.is_write, trace[i].is_write)
-            << decoder->name() << "/" << name << " element " << i;
-        ASSERT_EQ(request.source_socket, trace[i].source_socket)
-            << decoder->name() << "/" << name << " element " << i;
-      }
+      size_t i = 0;
+      size_t mismatches = 0;
+      stream.ForEachDecoded([&](const DecodedCmd& cmd, uint32_t socket) {
+        ASSERT_LT(i, trace.size());
+        const MemRequest& request = trace[i];
+        const auto flags = static_cast<uint8_t>(
+            (request.is_write ? kDecodedWrite : 0) |
+            (request.source_socket != request.address.socket ? kDecodedRemote : 0));
+        const DecodedCmd expected = DecodeMediaCmd(geometry, request.address, flags);
+        const bool same = socket == request.address.socket && cmd.row == expected.row &&
+                          cmd.bank_index == expected.bank_index &&
+                          cmd.rank_index == expected.rank_index &&
+                          cmd.channel == expected.channel && cmd.flags == expected.flags;
+        if (!same && mismatches++ == 0) {
+          ADD_FAILURE() << decoder->name() << "/" << name << " first mismatch at element "
+                        << i;
+        }
+        ++i;
+      });
+      EXPECT_EQ(i, trace.size()) << decoder->name() << "/" << name;
+      EXPECT_EQ(mismatches, 0u) << decoder->name() << "/" << name;
     }
   }
 }
