@@ -100,9 +100,13 @@ int main() {
     Vm& vm = **hypervisor.GetVm(tenant);
 
     // A 4 KiB page interleaves across many banks; the attacker hammers the
-    // page's row above and below in every bank it touches.
+    // page's row above and below in every bank it touches. At a bank's edge
+    // the EPT row has one neighbour; the attacker pairs it with the row
+    // beyond (the EPT row's distance-2 neighbour), so every access is still
+    // a real ACT and both aggressors disturb the EPT row.
     const uint64_t ept_page = vm.ept()->table_pages().back();
     const MediaAddress ept_media = *machine.decoder().PhysToMedia(ept_page);
+    const int64_t rows_per_bank = machine.config().geometry.rows_per_bank;
     std::vector<uint64_t> aggressors;
     std::set<std::string> seen_banks;
     for (uint64_t offset = 0; offset < kPage4K; offset += kCacheLineBytes) {
@@ -113,9 +117,19 @@ int main() {
       if (!seen_banks.insert(key.ToString()).second) {
         continue;
       }
-      for (int32_t delta : {-1, +1}) {
+      std::vector<int64_t> rows;
+      for (int64_t delta : {-1, +1}) {
+        const int64_t row = static_cast<int64_t>(line.row) + delta;
+        if (row >= 0 && row < rows_per_bank) {
+          rows.push_back(row);
+        }
+      }
+      if (rows.size() == 1) {
+        rows.push_back(rows[0] + (rows[0] > line.row ? 1 : -1));
+      }
+      for (int64_t row : rows) {
         MediaAddress aggressor = line;
-        aggressor.row = static_cast<uint32_t>(static_cast<int64_t>(line.row) + delta);
+        aggressor.row = static_cast<uint32_t>(row);
         aggressors.push_back(*machine.decoder().MediaToPhys(aggressor));
       }
     }

@@ -11,6 +11,7 @@
 
 #include "bench/bench_util.h"
 #include "src/attack/blacksmith.h"
+#include "src/base/flags.h"
 #include "src/base/units.h"
 #include "src/sim/machine.h"
 #include "src/siloz/hypervisor.h"
@@ -44,11 +45,9 @@ std::vector<DimmProfile> TableThreeDimms() {
   return dimms;
 }
 
-}  // namespace
-}  // namespace siloz
-
-int main() {
-  using namespace siloz;
+// Runs the campaign and prints the table; the simulated objects are local,
+// so their counters are flushed by the time the exports are written.
+int Run(const BlacksmithConfig& fuzz) {
   MachineConfig machine_config;
   machine_config.fault_tracking = true;
   machine_config.dimm_profiles = TableThreeDimms();
@@ -79,11 +78,6 @@ int main() {
   }
   std::printf("Attacker VM pinned to %zu subarray group(s); fuzzing...\n\n", vm.guest_groups().size());
 
-  BlacksmithConfig fuzz;
-  fuzz.patterns = 36;
-  fuzz.rounds = 1500;
-  fuzz.min_pairs = 8;
-  fuzz.max_pairs = 16;
   FuzzReport report = BlacksmithFuzzer(fuzz).Run(machine, pinned);
 
   // The paper's 24-hour soak: patrol scrubbing surfaces undetected flips.
@@ -133,4 +127,23 @@ int main() {
   std::printf("Result: %s (paper: flips in all DIMMs, none outside the group)\n",
               contained && census.inside > 0 ? "CONTAINED" : "VIOLATION");
   return contained && census.inside > 0 ? 0 : 1;
+}
+
+}  // namespace
+}  // namespace siloz
+
+int main(int argc, char** argv) {
+  using namespace siloz;
+  BlacksmithConfig fuzz;
+  fuzz.patterns = 36;
+  fuzz.rounds = 1500;
+  fuzz.min_pairs = 8;
+  fuzz.max_pairs = 16;
+  obs::ExportFiles exports;
+  FlagSet flags("bench_table3_containment");
+  flags.Add("--threads", &fuzz.threads, "campaign replay workers, one DIMM per task (0 = auto)");
+  flags.AddExports(&exports);
+  flags.ParseOrExit(argc, argv, 2);
+  const int status = Run(fuzz);
+  return exports.Write() ? status : 1;
 }

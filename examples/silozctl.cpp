@@ -107,6 +107,7 @@ int CmdAttack(FlagSet& flags, int argc, char** argv) {
   flags.Add("--baseline", &baseline, "boot the baseline kernel instead of Siloz");
   flags.Add("--patterns", &fuzz.patterns, "fuzzing patterns to synthesize");
   flags.Add("--seed", &fuzz.seed, "fuzzer seed");
+  flags.Add("--threads", &fuzz.threads, "campaign replay workers, one DIMM per task (0 = auto)");
   flags.ParseOrExit(argc, argv, 1);
   MachineConfig machine_config;
   machine_config.fault_tracking = true;

@@ -1,7 +1,11 @@
 #include "src/sim/machine.h"
 
+#include <algorithm>
+
 #include "src/base/check.h"
+#include "src/base/thread_pool.h"
 #include "src/base/units.h"
+#include "src/obs/trace.h"
 
 namespace siloz {
 
@@ -133,6 +137,81 @@ void Machine::AdvanceClock(uint64_t delta_ns) {
   for (const auto& device : devices_) {
     device->AdvanceTo(clock_ns_);
   }
+}
+
+uint64_t Machine::ReplayActs(std::span<const ActBurst> bursts, uint32_t threads) {
+  SILOZ_CHECK(config_.fault_tracking) << "devices exist only in fault mode";
+  obs::TraceSpan span("machine.ReplayActs");
+  const uint64_t act_cost = config_.act_cost_ns;
+
+  // Plan serially. The serial loop gives the k-th ACT of burst b the time
+  // starts[b] + k * act_cost, and burst b ends at starts[b + 1] (after its
+  // settle). Each schedule address is decoded once per burst into its
+  // device's slot list.
+  struct Slot {
+    uint32_t burst;
+    uint32_t position;  // within the burst's schedule
+    uint32_t rank;
+    uint32_t bank;
+    uint32_t row;
+  };
+  std::vector<std::vector<Slot>> slots(devices_.size());
+  std::vector<uint64_t> starts = {clock_ns_};
+  uint64_t acts = 0;
+  bool settles = false;
+  for (uint32_t b = 0; b < bursts.size(); ++b) {
+    const ActBurst& burst = bursts[b];
+    for (uint32_t position = 0; position < burst.schedule.size(); ++position) {
+      const MediaAddress media = *decoder_->PhysToMedia(burst.schedule[position]);
+      slots[DeviceIndex(media.socket, media.channel, media.dimm)].push_back(
+          Slot{b, position, media.rank, media.bank, media.row});
+    }
+    const uint64_t burst_acts = uint64_t{burst.rounds} * burst.schedule.size();
+    acts += burst_acts;
+    settles |= burst.settle_ns.has_value();
+    starts.push_back(starts.back() + burst_acts * act_cost + burst.settle_ns.value_or(0));
+  }
+
+  // Replay per device. A device's state depends only on its own command
+  // stream, so each device walks every burst in order: it issues its own
+  // slots at the serial timestamps and calls AdvanceTo wherever the serial
+  // AdvanceClock would — also after bursts that ran on other devices, since
+  // AdvanceTo caps the TRR ticks it processes per call.
+  auto replay_device = [&](uint32_t index) {
+    obs::TraceSpan device_span("machine.ReplayActs.dimm" + std::to_string(index));
+    DramDevice& dram = *devices_.at(index);
+    const std::vector<Slot>& mine = slots[index];
+    size_t next = 0;
+    for (uint32_t b = 0; b < bursts.size(); ++b) {
+      const size_t begin = next;
+      while (next < mine.size() && mine[next].burst == b) {
+        ++next;
+      }
+      const uint64_t round_ns = bursts[b].schedule.size() * act_cost;
+      for (uint32_t round = 0; round < bursts[b].rounds && next > begin; ++round) {
+        const uint64_t round_start = starts[b] + round * round_ns;
+        for (size_t i = begin; i < next; ++i) {
+          dram.Activate(mine[i].rank, mine[i].bank, mine[i].row,
+                        round_start + mine[i].position * act_cost);
+        }
+      }
+      if (bursts[b].settle_ns.has_value()) {
+        dram.AdvanceTo(starts[b + 1]);
+      }
+    }
+  };
+  std::vector<uint32_t> busy;
+  for (uint32_t index = 0; index < devices_.size(); ++index) {
+    if (settles || !slots[index].empty()) {
+      busy.push_back(index);
+    }
+  }
+  // No more workers than tasks: a one-DIMM replay runs inline.
+  const size_t tasks = std::max<size_t>(busy.size(), 1);
+  ThreadPool pool(static_cast<uint32_t>(std::min<size_t>(ResolveThreads(threads), tasks)));
+  pool.ParallelFor(0, busy.size(), [&](uint64_t t) { replay_device(busy[t]); });
+  clock_ns_ = starts.back();
+  return acts;
 }
 
 uint64_t Machine::PatrolScrubAll() {

@@ -15,6 +15,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,12 +58,23 @@ struct MachineConfig {
   uint64_t act_cost_ns = 50;
 };
 
+// One burst of an ACT replay (Machine::ReplayActs): `schedule` activated in
+// order, `rounds` times over, then — when `settle_ns` is set — the clock
+// advanced by it, as AdvanceClock does.
+struct ActBurst {
+  std::vector<uint64_t> schedule;  // physical addresses
+  uint32_t rounds = 1;
+  std::optional<uint64_t> settle_ns;
+};
+
 // A bit flip resolved to physical-address coordinates.
 struct PhysFlip {
   uint64_t phys = 0;
   MediaAddress media;
   FlipRecord record;
   std::string dimm_name;
+
+  bool operator==(const PhysFlip&) const = default;
 };
 
 class Machine {
@@ -89,6 +102,13 @@ class Machine {
 
   uint64_t clock_ns() const { return clock_ns_; }
   void AdvanceClock(uint64_t delta_ns);
+
+  // Replays `bursts` with the result of the serial loop
+  //   for each burst: `rounds` x ActivatePhys(every schedule address),
+  //                   then AdvanceClock(settle_ns) if set,
+  // bit-identically, but with each DIMM's share on its own pool task
+  // (`threads` as in ResolveThreads). Returns the ACTs issued.
+  uint64_t ReplayActs(std::span<const ActBurst> bursts, uint32_t threads);
 
   // Run ECC patrol scrub on every DIMM (the 24-hour check of §7.1).
   uint64_t PatrolScrubAll();
