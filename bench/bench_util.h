@@ -1,6 +1,6 @@
-// Shared output helpers for the experiment benches.
+// The entry points of the paper artifacts and their shared output helpers.
 //
-// Every bench prints: the Table 2 platform header, then the rows/series of
+// Every artifact prints: the Table 2 platform header, then the rows/series of
 // the paper artifact it regenerates, in a fixed-width table so runs can be
 // diffed. Overheads are reported as mean % with 95% CI half-widths, matching
 // the error bars of Figs 4-7.
@@ -11,11 +11,36 @@
 #include <string>
 #include <vector>
 
+#include "src/base/flags.h"
 #include "src/base/stats.h"
 #include "src/dram/geometry.h"
 
 namespace siloz {
 namespace bench {
+
+// One entry point per experiment id of DESIGN.md §3, dispatched by
+// bench_artifacts with argv[0] set to the id. Each declares on `flags`
+// exactly the flags it reads, parses the rest of the command line (a usage
+// error exits 2 with nothing on stdout), prints its report, and returns the
+// process exit status.
+int Table1Remap(FlagSet& flags, int argc, char** argv);
+int Table2Platform(FlagSet& flags, int argc, char** argv);
+int Table3Containment(FlagSet& flags, int argc, char** argv);
+int EptProtection(FlagSet& flags, int argc, char** argv);
+int Figure(FlagSet& flags, int argc, char** argv);  // fig4, fig4ext, fig5, fig6, fig7
+int BankParallelism(FlagSet& flags, int argc, char** argv);
+int GuardOverhead(FlagSet& flags, int argc, char** argv);
+int OneGibPages(FlagSet& flags, int argc, char** argv);
+int EptFootprint(FlagSet& flags, int argc, char** argv);
+int SoftRefresh(FlagSet& flags, int argc, char** argv);
+int BaselineVulnerable(FlagSet& flags, int argc, char** argv);
+int ArtificialGroups(FlagSet& flags, int argc, char** argv);
+int Ddr5(FlagSet& flags, int argc, char** argv);
+int SideChannels(FlagSet& flags, int argc, char** argv);
+int Interference(FlagSet& flags, int argc, char** argv);
+int ActRates(FlagSet& flags, int argc, char** argv);
+int DefenseComparison(FlagSet& flags, int argc, char** argv);
+int FleetChurn(FlagSet& flags, int argc, char** argv);
 
 inline void PrintHeader(const char* artifact, const DramGeometry& geometry,
                         const std::string& platform = std::string()) {

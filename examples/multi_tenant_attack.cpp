@@ -128,7 +128,7 @@ int main() {
   } else {
     std::printf("Baseline: no victim flips this run (placement luck) — the\n"
                 "attacker still flipped %lu bits in co-located rows; see\n"
-                "bench_baseline_vulnerable for the deterministic boundary attack.\n",
+                "bench_artifacts a6 for the deterministic boundary attack.\n",
                 static_cast<unsigned long>(baseline.flips_total));
   }
   return 0;

@@ -24,13 +24,13 @@ block — `after` is set to the given value, and `before` is seeded from the
 most recent prior block's `after` for the same bench when absent — then
 rewrites the baseline in place. Appending is an explicit, reviewed action:
 it edits a committed file. History names keep the figures' original
-binary names: `bench_fig4_exec_time` is the wall of `bench_figures fig4`,
-`bench_fig5_throughput` that of `bench_figures fig5`.
+binary names: `bench_fig4_exec_time` is the wall of `bench_artifacts fig4`,
+`bench_fig5_throughput` that of `bench_artifacts fig5`.
 
 Usage:
   check_bench_regression.py --bench build/bench/bench_hotpath \
       --baseline BENCH_hotpath.json [--tolerance 0.25] \
-      [--append-wall bench_fig4_exec_time=812 ...]   # bench_figures fig4 wall
+      [--append-wall bench_fig4_exec_time=812 ...]   # bench_artifacts fig4 wall
 """
 
 import argparse

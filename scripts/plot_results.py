@@ -2,7 +2,7 @@
 """Render the figure driver's CSV output as ASCII bar charts.
 
 Usage:
-    SILOZ_RESULTS_DIR=results ./build/bench/bench_figures fig4
+    SILOZ_RESULTS_DIR=results ./build/bench/bench_artifacts fig4
     scripts/plot_results.py results/fig4_exec_time.csv
 
 Each row of the CSV (variant, workload, overhead_pct, ci95_pct) becomes one

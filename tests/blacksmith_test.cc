@@ -127,7 +127,7 @@ TEST(BlacksmithTest, HammerPhysAddressesCountsActs) {
 
 // --- Per-DIMM replay determinism (Machine::ReplayActs) ---
 
-// The six Table-3 DIMM personalities (bench/bench_table3_containment.cc):
+// The six Table-3 DIMM personalities (bench/table3_containment.cc):
 // TRR on, C and E vendor-scrambled.
 MachineConfig TableThreeConfig() {
   const struct {

@@ -122,7 +122,7 @@ TEST(PlatformAuditTest, TableThreeContainmentOnEveryPlatform) {
     machine_config.geometry = info.geometry;
     machine_config.platform = name;
     machine_config.fault_tracking = true;
-    // Three DIMM personalities (thresholds scaled as in bench_table3) with
+    // Three DIMM personalities (thresholds scaled as in bench/table3_containment.cc) with
     // the platform's remap chain and TRR generation defaults on each.
     machine_config.dimm_profiles.clear();
     const struct {
