@@ -1,6 +1,9 @@
 #include "src/hostmem/buddy.h"
 
 #include <algorithm>
+#include <iterator>
+#include <string>
+#include <utility>
 
 #include "src/base/bitops.h"
 #include "src/base/check.h"
@@ -127,22 +130,19 @@ Status BuddyAllocator::AllocateAt(uint64_t phys, uint32_t order) {
 
 bool BuddyAllocator::OverlapsFreeOrOfflined(uint64_t phys, uint32_t order) const {
   const uint64_t end = phys + OrderBytes(order);
-  // A free block starting before `phys` that extends into the range...
-  auto next = free_by_addr_.upper_bound(phys);
-  if (next != free_by_addr_.begin()) {
-    const auto prev = std::prev(next);
-    if (prev->first + OrderBytes(prev->second) > phys) {
+  // Free blocks and offlined extents are each disjoint and address-ordered,
+  // so in each the only candidate is the last one starting before `end`: it
+  // overlaps iff it reaches past `phys`. (Offlined pages are permanently
+  // carved out; a block covering one was never handed out whole.)
+  auto free_block = free_by_addr_.lower_bound(end);
+  if (free_block != free_by_addr_.begin()) {
+    --free_block;
+    if (free_block->first + OrderBytes(free_block->second) > phys) {
       return true;
     }
   }
-  // ...or one starting inside it.
-  if (next != free_by_addr_.end() && next->first < end) {
-    return true;
-  }
-  // Offlined pages are permanently carved out; a block covering one was
-  // never handed out whole by Allocate/AllocateAt.
-  auto offlined = offlined_.lower_bound(phys);
-  return offlined != offlined_.end() && *offlined < end;
+  auto offlined = offlined_.lower_bound(end);
+  return offlined != offlined_.begin() && std::prev(offlined)->second > phys;
 }
 
 Status BuddyAllocator::Free(uint64_t phys, uint32_t order) {
@@ -160,20 +160,75 @@ Status BuddyAllocator::Free(uint64_t phys, uint32_t order) {
   return Status::Ok();
 }
 
+void BuddyAllocator::KeepOutside(uint64_t phys, uint32_t order, const PhysRange& range) {
+  const uint64_t end = phys + OrderBytes(order);
+  if (end <= range.begin || phys >= range.end) {
+    AddFree(phys, order);
+    return;
+  }
+  if (phys >= range.begin && end <= range.end) {
+    return;
+  }
+  // Straddles a range edge, so order > 0: a 4 KiB block is in or out.
+  KeepOutside(phys, order - 1, range);
+  KeepOutside(phys + OrderBytes(order - 1), order - 1, range);
+}
+
+Status BuddyAllocator::TakeRange(const PhysRange& range, Take take) {
+  if (range.begin % OrderBytes(0) != 0 || range.end % OrderBytes(0) != 0 ||
+      range.begin >= range.end) {
+    return MakeError(ErrorCode::kInvalidArgument, "misaligned TakeRange");
+  }
+  SILOZ_FAULT_POINT("alloc.buddy.range");
+  // The free blocks tiling the range, checked gap-free before anything is
+  // touched so a failure leaves the allocator unchanged.
+  std::vector<std::pair<uint64_t, uint32_t>> covering;
+  auto block = free_by_addr_.upper_bound(range.begin);
+  if (block != free_by_addr_.begin()) {
+    --block;
+  }
+  for (uint64_t cursor = range.begin; cursor < range.end; ++block) {
+    if (block == free_by_addr_.end() || block->first > cursor ||
+        block->first + OrderBytes(block->second) <= cursor) {
+      return MakeError(ErrorCode::kFailedPrecondition,
+                       "page at " + std::to_string(cursor) + " not free; cannot take [" +
+                           std::to_string(range.begin) + ", " + std::to_string(range.end) +
+                           ")");
+    }
+    covering.emplace_back(block->first, block->second);
+    cursor = block->first + OrderBytes(block->second);
+  }
+  for (const auto& [phys, order] : covering) {
+    RemoveFree(phys, order);
+    KeepOutside(phys, order, range);
+  }
+  free_bytes_ -= range.size();
+  if (take == Take::kAllocate) {
+    return Status::Ok();
+  }
+  offlined_bytes_ += range.size();
+  total_bytes_ -= range.size();
+  // Merge with offlined neighbours that end where the range begins or begin
+  // where it ends; nothing overlaps, since every page was free.
+  PhysRange merged = range;
+  auto next = offlined_.lower_bound(range.end);
+  if (next != offlined_.end() && next->first == range.end) {
+    merged.end = next->second;
+    next = offlined_.erase(next);
+  }
+  if (next != offlined_.begin() && std::prev(next)->second == range.begin) {
+    merged.begin = std::prev(next)->first;
+    offlined_.erase(std::prev(next));
+  }
+  offlined_.emplace(merged.begin, merged.end);
+  return Status::Ok();
+}
+
 Status BuddyAllocator::OfflinePage(uint64_t phys) {
   if (phys % OrderBytes(0) != 0) {
     return MakeError(ErrorCode::kInvalidArgument, "misaligned OfflinePage");
   }
-  if (!CarveTo(phys, 0)) {
-    return MakeError(ErrorCode::kFailedPrecondition,
-                     "page at " + std::to_string(phys) + " not free; cannot offline");
-  }
-  RemoveFree(phys, 0);
-  free_bytes_ -= OrderBytes(0);
-  offlined_bytes_ += OrderBytes(0);
-  total_bytes_ -= OrderBytes(0);
-  offlined_.insert(phys);
-  return Status::Ok();
+  return TakeRange(PhysRange{phys, phys + OrderBytes(0)}, Take::kOffline);
 }
 
 int32_t BuddyAllocator::LargestFreeOrder() const {
@@ -183,20 +238,6 @@ int32_t BuddyAllocator::LargestFreeOrder() const {
     }
   }
   return -1;
-}
-
-uint64_t BuddyAllocator::LargestFreeRun() const {
-  uint64_t largest = 0;
-  uint64_t run_begin = 0;
-  uint64_t run_end = 0;
-  for (const auto& [start, order] : free_by_addr_) {
-    if (start != run_end || run_end == 0) {
-      largest = std::max(largest, run_end - run_begin);
-      run_begin = start;
-    }
-    run_end = start + OrderBytes(order);
-  }
-  return std::max(largest, run_end - run_begin);
 }
 
 bool BuddyAllocator::IsFree(uint64_t phys) const {
@@ -209,7 +250,8 @@ bool BuddyAllocator::IsFree(uint64_t phys) const {
 }
 
 bool BuddyAllocator::IsOfflined(uint64_t phys) const {
-  return offlined_.count(AlignDown(phys, OrderBytes(0))) != 0;
+  auto next = offlined_.upper_bound(phys);
+  return next != offlined_.begin() && std::prev(next)->second > phys;
 }
 
 }  // namespace siloz

@@ -46,8 +46,24 @@ class BuddyAllocator {
   // the bookkeeping the isolation invariants rest on.
   Status Free(uint64_t phys, uint32_t order);
 
+  // What TakeRange does with the pages it removes from the free lists.
+  enum class Take : uint8_t {
+    kAllocate,  // handed out, as if by AllocateAt(page, 0) for each page
+    kOffline,   // permanently removed, as if by OfflinePage for each page
+  };
+
+  // Removes every page of the 4 KiB-aligned `range` from the free lists in
+  // one pass: each free block overlapping the range is dropped and its parts
+  // outside the range are re-added as maximal buddy sub-blocks. The free
+  // lists end up exactly as a per-page AllocateAt/OfflinePage loop over the
+  // range leaves them, at O(blocks + log n) instead of O(pages * log n) —
+  // boot carves the guard and EPT row groups (§5.4, §6) this way. Fails with
+  // kFailedPrecondition, changing nothing, if any page is not free.
+  Status TakeRange(const PhysRange& range, Take take);
+
   // Permanently remove a free 4 KiB page from the pool (Linux page
-  // offlining, §5.4/§6). Fails if the page is not currently free.
+  // offlining, §5.4/§6): the one-page TakeRange. Fails if the page is not
+  // currently free.
   Status OfflinePage(uint64_t phys);
 
   // Largest order with a free block available, or nullopt-like -1.
@@ -67,16 +83,9 @@ class BuddyAllocator {
   bool IsOfflined(uint64_t phys) const;
 
   // True if [phys, phys + OrderBytes(order)) intersects any free block or
-  // offlined page. O(log n) via the address-ordered free-block mirror.
+  // offlined page. O(log n): one lookup in the address-ordered free-block
+  // mirror and one in the offlined extents.
   bool OverlapsFreeOrOfflined(uint64_t phys, uint32_t order) const;
-
-  // Largest physically-contiguous free extent in bytes, merging adjacent
-  // free blocks across orders (buddy coalescing only merges aligned pairs,
-  // so the largest *run* can exceed the largest free block). Derived from
-  // the address-ordered mirror, so the answer is deterministic. The fleet
-  // simulator reports free_bytes() - LargestFreeRun() as a per-node
-  // fragmentation stat.
-  uint64_t LargestFreeRun() const;
 
  private:
   // Splits blocks until a free block of exactly `order` containing `phys`
@@ -85,6 +94,10 @@ class BuddyAllocator {
   bool CarveTo(uint64_t phys, uint32_t order);
 
   void Insert(uint64_t phys, uint32_t order);
+
+  // Adds to the free lists the maximal buddy sub-blocks of the block at
+  // `phys` that do not overlap `range`.
+  void KeepOutside(uint64_t phys, uint32_t order, const PhysRange& range);
 
   // The ONLY mutators of the free-block containers, keeping free_ and
   // free_by_addr_ in lockstep.
@@ -102,9 +115,10 @@ class BuddyAllocator {
   // never overlap, so a start address maps to exactly one order; the mirror
   // gives Free() O(log n) overlap detection.
   std::map<uint64_t, uint32_t> free_by_addr_;
-  // Pages removed by OfflinePage (4 KiB starts), address-ordered so overlap
-  // queries are range scans.
-  std::set<uint64_t> offlined_;
+  // Offlined memory as disjoint, non-adjacent extents (begin -> end):
+  // adjacent offlined ranges merge on insertion, so a guard block of any
+  // size is one node and IsOfflined is one lookup.
+  std::map<uint64_t, uint64_t> offlined_;
   uint64_t free_bytes_ = 0;
   uint64_t total_bytes_ = 0;
   uint64_t offlined_bytes_ = 0;

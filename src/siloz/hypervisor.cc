@@ -274,10 +274,9 @@ Status SilozHypervisor::OfflineArtificialBoundaryGuards() {
       SILOZ_RETURN_IF_ERROR(node);
       Result<PhysRange> extent = RowGroupExtent(socket, cluster, media_row);
       SILOZ_RETURN_IF_ERROR(extent);
-      for (uint64_t page = extent->begin; page < extent->end; page += kPage4K) {
-        SILOZ_RETURN_IF_ERROR((*node)->allocator().OfflinePage(page));
-        artificial_guard_bytes_ += kPage4K;
-      }
+      SILOZ_RETURN_IF_ERROR(
+          (*node)->allocator().TakeRange(*extent, BuddyAllocator::Take::kOffline));
+      artificial_guard_bytes_ += extent->size();
     }
   }
   return Status::Ok();
@@ -299,20 +298,21 @@ Status SilozHypervisor::ReserveEptBlocks() {
     for (uint32_t r = 0; r < b; ++r) {
       Result<PhysRange> extent = RowGroupExtent(socket, /*cluster=*/0, skip + r);
       SILOZ_RETURN_IF_ERROR(extent);
+      const uint64_t pages = extent->size() / kPage4K;
       if (r == o) {
         // EPT row group: pull its pages out of general allocation and seed
         // the per-socket EPT pool.
+        SILOZ_RETURN_IF_ERROR(
+            (*host)->allocator().TakeRange(*extent, BuddyAllocator::Take::kAllocate));
         for (uint64_t page = extent->begin; page < extent->end; page += kPage4K) {
-          SILOZ_RETURN_IF_ERROR((*host)->allocator().AllocateAt(page, kOrder4K));
           ept_pool_[socket].push_back(page);
-          ++obs_counts_.ept_pool_pages;
         }
+        obs_counts_.ept_pool_pages += pages;
         ept_pool_ranges_[socket].push_back(*extent);
       } else {
-        for (uint64_t page = extent->begin; page < extent->end; page += kPage4K) {
-          SILOZ_RETURN_IF_ERROR((*host)->allocator().OfflinePage(page));
-          ++obs_counts_.ept_guard_pages;
-        }
+        SILOZ_RETURN_IF_ERROR(
+            (*host)->allocator().TakeRange(*extent, BuddyAllocator::Take::kOffline));
+        obs_counts_.ept_guard_pages += pages;
       }
       ept_reserved_bytes_ += extent->size();
     }

@@ -38,6 +38,24 @@ TEST(FaultInjectorTest, FiresExactlyOnceAtKthMatchingCall) {
   EXPECT_EQ(FaultInjector::Global().faults_fired(), 1u);
 }
 
+TEST(FaultInjectorTest, TakeRangeIsOnePointPerRangeAndFailsWhole) {
+  BuddyAllocator allocator({PhysRange{0, 4_MiB}});
+  {
+    ScopedFault fault(/*k=*/1, "alloc.buddy.range");
+    Status taken =
+        allocator.TakeRange(PhysRange{1_MiB, 2_MiB}, BuddyAllocator::Take::kOffline);
+    ASSERT_FALSE(taken.ok());
+    EXPECT_EQ(taken.error().code, ErrorCode::kNoMemory);
+  }
+  EXPECT_EQ(allocator.free_bytes(), 4_MiB);
+  EXPECT_EQ(allocator.offlined_bytes(), 0u);
+  EXPECT_EQ(allocator.LargestFreeOrder(), 10);
+  // One matching call for a 256-page range.
+  ScopedFault fault(/*k=*/1000, "alloc.buddy.");
+  EXPECT_TRUE(allocator.TakeRange(PhysRange{1_MiB, 2_MiB}, BuddyAllocator::Take::kOffline).ok());
+  EXPECT_EQ(FaultInjector::Global().matched_calls(), 1u);
+}
+
 TEST(FaultInjectorTest, PrefixSelectsSiteNamespace) {
   BuddyAllocator allocator({PhysRange{0, 1_MiB}});
   Result<uint64_t> page = allocator.Allocate(kOrder4K);

@@ -1,6 +1,13 @@
 // Tests for the buddy allocator, NUMA nodes, and control groups (src/hostmem).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/base/units.h"
 #include "src/hostmem/buddy.h"
 #include "src/hostmem/cgroup.h"
@@ -187,28 +194,181 @@ TEST(BuddyTest, AllocationOrderIsDeterministicLowestAddressFirst) {
   EXPECT_EQ(*third, 6_MiB);
 }
 
-TEST(BuddyTest, LargestFreeRunMergesAdjacentBlocksAcrossOrders) {
+TEST(BuddyTest, TakeRangeSplitsStraddlingBlocksAndMergesOfflinedExtents) {
   BuddyAllocator buddy({PhysRange{0, 64_MiB}});
-  EXPECT_EQ(buddy.LargestFreeRun(), 64_MiB);
-  // Pin one 2 MiB block at 6 MiB: free space is [0, 6M) and [8M, 64M). The
-  // 56 MiB run spans free blocks of several different orders (8M..16M,
-  // 16M..32M, 32M..64M) even though the largest single block is 32 MiB —
-  // free_bytes() - LargestFreeRun() is the fragmentation the fleet reports.
-  ASSERT_TRUE(buddy.AllocateAt(6_MiB, kOrder2M).ok());
-  EXPECT_EQ(buddy.free_bytes(), 62_MiB);
-  EXPECT_EQ(buddy.LargestFreeRun(), 56_MiB);
-  ASSERT_TRUE(buddy.Free(6_MiB, kOrder2M).ok());
-  EXPECT_EQ(buddy.LargestFreeRun(), 64_MiB);
-  // A fully allocated pool has no run at all.
-  ASSERT_TRUE(buddy.Allocate(14).ok());  // one 64 MiB block
-  EXPECT_EQ(buddy.LargestFreeRun(), 0u);
+  // [6M, 10M) straddles the 8 MiB boundary of [0, 16M)'s buddy tree.
+  ASSERT_TRUE(buddy.TakeRange(PhysRange{6_MiB, 10_MiB}, BuddyAllocator::Take::kOffline).ok());
+  EXPECT_EQ(buddy.offlined_bytes(), 4_MiB);
+  EXPECT_EQ(buddy.total_bytes(), 60_MiB);
+  EXPECT_EQ(buddy.free_bytes(), 60_MiB);
+  EXPECT_FALSE(buddy.IsOfflined(6_MiB - 4_KiB));
+  EXPECT_TRUE(buddy.IsOfflined(6_MiB));
+  EXPECT_TRUE(buddy.IsOfflined(10_MiB - 1));
+  EXPECT_FALSE(buddy.IsOfflined(10_MiB));
+  EXPECT_TRUE(buddy.IsFree(4_MiB));
+  EXPECT_TRUE(buddy.IsFree(10_MiB));
+  // Ranges on either side merge into one extent.
+  ASSERT_TRUE(buddy.TakeRange(PhysRange{5_MiB, 6_MiB}, BuddyAllocator::Take::kOffline).ok());
+  ASSERT_TRUE(buddy.OfflinePage(10_MiB).ok());
+  EXPECT_EQ(buddy.offlined_bytes(), 5_MiB + 4_KiB);
+  EXPECT_FALSE(buddy.IsOfflined(5_MiB - 4_KiB));
+  EXPECT_TRUE(buddy.IsOfflined(5_MiB));
+  EXPECT_TRUE(buddy.IsOfflined(10_MiB));
+  EXPECT_FALSE(buddy.IsOfflined(10_MiB + 4_KiB));
+  EXPECT_FALSE(buddy.OfflinePage(6_MiB).ok());
+  // Free rejects any block overlapping the extent, even with no free page.
+  ASSERT_TRUE(buddy.AllocateAt(4_MiB, kOrder4K + 8).ok());  // [4M, 5M)
+  EXPECT_FALSE(buddy.Free(4_MiB, kOrder2M).ok());
+  EXPECT_TRUE(buddy.Free(4_MiB, kOrder4K + 8).ok());
+  // kAllocate takes pages without offlining them: they free page by page.
+  ASSERT_TRUE(buddy.TakeRange(PhysRange{32_MiB, 32_MiB + 12_KiB},
+                              BuddyAllocator::Take::kAllocate)
+                  .ok());
+  EXPECT_FALSE(buddy.IsOfflined(32_MiB));
+  EXPECT_FALSE(buddy.IsFree(32_MiB + 8_KiB));
+  EXPECT_TRUE(buddy.Free(32_MiB + 4_KiB, kOrder4K).ok());
+  EXPECT_FALSE(
+      buddy.TakeRange(PhysRange{1_MiB + 1, 2_MiB}, BuddyAllocator::Take::kOffline).ok());
 }
 
-TEST(BuddyTest, LargestFreeRunStopsAtRangeGaps) {
-  BuddyAllocator buddy({PhysRange{0, 4_MiB}, PhysRange{8_MiB, 24_MiB}});
-  EXPECT_EQ(buddy.free_bytes(), 20_MiB);
-  EXPECT_EQ(buddy.LargestFreeRun(), 16_MiB);  // [8M, 24M); the gap breaks the run
+TEST(BuddyTest, TakeRangeOverNonFreePageFailsAndChangesNothing) {
+  BuddyAllocator buddy({PhysRange{0, 16_MiB}});
+  ASSERT_TRUE(buddy.AllocateAt(8_MiB + 4_KiB, kOrder4K).ok());
+  for (BuddyAllocator::Take take :
+       {BuddyAllocator::Take::kAllocate, BuddyAllocator::Take::kOffline}) {
+    Status taken = buddy.TakeRange(PhysRange{7_MiB, 9_MiB}, take);
+    ASSERT_FALSE(taken.ok());
+    EXPECT_EQ(taken.error().code, ErrorCode::kFailedPrecondition);
+    // A per-page loop would have carved [7M, 8M + 4K) before failing.
+    EXPECT_EQ(buddy.free_bytes(), 16_MiB - 4_KiB);
+    EXPECT_EQ(buddy.offlined_bytes(), 0u);
+    EXPECT_EQ(buddy.LargestFreeOrder(), 11);  // [0, 8M) is still whole
+    EXPECT_TRUE(buddy.AllocateAt(0, 11).ok());
+    ASSERT_TRUE(buddy.Free(0, 11).ok());
+  }
+  // A range past the end of the pool fails the same way.
+  EXPECT_EQ(buddy.TakeRange(PhysRange{16_MiB - 4_KiB, 16_MiB + 4_KiB},
+                            BuddyAllocator::Take::kOffline)
+                .error()
+                .code,
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(buddy.free_bytes(), 16_MiB - 4_KiB);
 }
+
+// Twin allocators through the same seeded history, then random ranges:
+// TakeRange on `ranged`, the per-page loop on `paged` (the same Take per
+// page) and AllocateAt(page, 0) — the CarveTo path — on `carved`. All three
+// must agree on the free lists; `ranged` and `paged` also on what is
+// offlined, which a page-set model checks independently.
+class TakeRangeEquivalence : public ::testing::TestWithParam<uint64_t> {};
+
+constexpr uint64_t kEquivalencePoolEnd = 24_MiB;
+
+void ExpectSameFreeLists(const BuddyAllocator& a, const BuddyAllocator& b, uint64_t seed) {
+  for (uint64_t page = 0; page < kEquivalencePoolEnd; page += 4_KiB) {
+    ASSERT_EQ(a.IsFree(page), b.IsFree(page)) << "page " << page;
+  }
+  EXPECT_EQ(a.free_bytes(), b.free_bytes());
+  EXPECT_EQ(a.LargestFreeOrder(), b.LargestFreeOrder());
+  BuddyAllocator next_a = a;
+  BuddyAllocator next_b = b;
+  Rng rng(seed);
+  for (int i = 0; i < 64; ++i) {
+    const auto order = static_cast<uint32_t>(rng.NextBelow(8));
+    Result<uint64_t> from_a = next_a.Allocate(order);
+    Result<uint64_t> from_b = next_b.Allocate(order);
+    ASSERT_EQ(from_a.ok(), from_b.ok()) << "allocation " << i;
+    if (from_a.ok()) {
+      ASSERT_EQ(*from_a, *from_b) << "allocation " << i;
+    }
+  }
+}
+
+TEST_P(TakeRangeEquivalence, MatchesPerPageLoop) {
+  const std::vector<PhysRange> pool = {PhysRange{4_KiB, 6_MiB},
+                                       PhysRange{8_MiB, kEquivalencePoolEnd}};
+  BuddyAllocator ranged(pool);
+  Rng rng(GetParam());
+  // History: allocations of mixed orders, pinned blocks and frees.
+  std::vector<std::pair<uint64_t, uint32_t>> live;
+  for (int step = 0; step < 300; ++step) {
+    const double dice = rng.NextDouble();
+    if (dice < 0.45) {
+      const auto order = static_cast<uint32_t>(rng.NextBelow(10));
+      if (Result<uint64_t> block = ranged.Allocate(order); block.ok()) {
+        live.emplace_back(*block, order);
+      }
+    } else if (dice < 0.6) {
+      const auto order = static_cast<uint32_t>(rng.NextBelow(4));
+      const uint64_t phys =
+          rng.NextBelow(kEquivalencePoolEnd / OrderBytes(order)) * OrderBytes(order);
+      if (ranged.AllocateAt(phys, order).ok()) {
+        live.emplace_back(phys, order);
+      }
+    } else if (!live.empty()) {
+      const size_t victim = rng.NextBelow(live.size());
+      ASSERT_TRUE(ranged.Free(live[victim].first, live[victim].second).ok());
+      live.erase(live.begin() + static_cast<ptrdiff_t>(victim));
+    }
+  }
+  BuddyAllocator paged = ranged;
+  BuddyAllocator carved = ranged;
+  std::set<uint64_t> offlined;
+  PhysRange last{0, 0};
+  for (int trial = 0; trial < 48; ++trial) {
+    // Log-uniform lengths starting at the first free page after a random
+    // one; half the ranges abut the previous one, so offlined extents merge.
+    const uint64_t pages = rng.NextInRange(1, uint64_t{1} << rng.NextBelow(11));
+    uint64_t begin = rng.NextBelow(kEquivalencePoolEnd / 4_KiB) * 4_KiB;
+    while (begin < kEquivalencePoolEnd && !paged.IsFree(begin)) {
+      begin += 4_KiB;
+    }
+    if (trial > 0 && rng.NextBernoulli(0.5)) {
+      begin = rng.NextBernoulli(0.5) ? last.end
+                                     : (last.begin >= pages * 4_KiB ? last.begin - pages * 4_KiB
+                                                                    : 0);
+    }
+    const PhysRange range{begin, std::min(begin + pages * 4_KiB, kEquivalencePoolEnd)};
+    if (range.begin >= range.end) {
+      continue;
+    }
+    const BuddyAllocator::Take take =
+        rng.NextBernoulli(0.5) ? BuddyAllocator::Take::kOffline : BuddyAllocator::Take::kAllocate;
+    bool all_free = true;
+    for (uint64_t page = range.begin; page < range.end; page += 4_KiB) {
+      all_free &= paged.IsFree(page);
+    }
+    Status taken = ranged.TakeRange(range, take);
+    SCOPED_TRACE("trial " + std::to_string(trial) + " [" + std::to_string(range.begin) + ", " +
+                 std::to_string(range.end) + ")");
+    if (all_free) {
+      ASSERT_TRUE(taken.ok()) << taken.error().ToString();
+      for (uint64_t page = range.begin; page < range.end; page += 4_KiB) {
+        ASSERT_TRUE(take == BuddyAllocator::Take::kOffline ? paged.OfflinePage(page).ok()
+                                                           : paged.AllocateAt(page, 0).ok());
+        ASSERT_TRUE(carved.AllocateAt(page, 0).ok());
+        if (take == BuddyAllocator::Take::kOffline) {
+          offlined.insert(page);
+        }
+      }
+      last = range;
+    } else {
+      ASSERT_FALSE(taken.ok());
+      EXPECT_EQ(taken.error().code, ErrorCode::kFailedPrecondition);
+    }
+    ExpectSameFreeLists(ranged, paged, GetParam() + trial);
+    ExpectSameFreeLists(ranged, carved, GetParam() + trial);
+    EXPECT_EQ(ranged.total_bytes(), paged.total_bytes());
+    EXPECT_EQ(ranged.offlined_bytes(), paged.offlined_bytes());
+    EXPECT_EQ(ranged.offlined_bytes(), offlined.size() * 4_KiB);
+    for (uint64_t page = 0; page < kEquivalencePoolEnd; page += 4_KiB) {
+      ASSERT_EQ(ranged.IsOfflined(page), offlined.count(page) != 0) << "page " << page;
+      ASSERT_EQ(paged.IsOfflined(page), offlined.count(page) != 0) << "page " << page;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TakeRangeEquivalence, ::testing::Values(1u, 7u, 42u, 1234u));
 
 // --- NumaNode / NodeRegistry ---
 
