@@ -93,7 +93,7 @@ const std::vector<FigureSpec>& Figures() {
 // `platform` gives every grid point the registry platform's geometry,
 // decoder family, and DDR-generation semantics, with each kernel keeping its
 // own subarray size. The whole (kernel x workload x trial) space runs on one
-// work-stealing pool; tables on stdout are byte-identical for every thread
+// fork-join ParallelFor; tables on stdout are byte-identical for every thread
 // count, and the scheduler/timing telemetry goes to stderr.
 bool RunFigure(const FigureSpec& figure, const Section& section, RunnerConfig runner,
                const std::string& platform) {

@@ -12,7 +12,8 @@
 //
 // --platform selects a registered platform (skylake, cascadelake, zen,
 // ddr5): decoder family, geometry, and DDR-generation semantics together.
-// It replaces the legacy --snc/--ddr5 geometry toggles where both are given.
+// It replaces the legacy --snc/--ddr5 geometry toggles; combining them is an
+// error.
 //
 // Every command additionally accepts --metrics-out FILE and --trace-out FILE
 // (observability exports; written after the command completes, never mixed
@@ -46,12 +47,17 @@ int CmdTopology(FlagSet& flags, int argc, char** argv) {
   bool snc = false;
   bool ddr5 = false;
   uint32_t subarray_rows = 0;  // 0 = the geometry's own
-  flags.Add("--platform", &platform, "registered platform (replaces --snc/--ddr5)",
+  flags.Add("--platform", &platform, "registered platform (excludes --snc/--ddr5)",
             {.choices = PlatformNames()});
   flags.Add("--snc", &snc, "sub-NUMA clustering decoder (2 clusters)");
   flags.Add("--ddr5", &ddr5, "DDR5 geometry");
   flags.Add("--subarray-rows", &subarray_rows, "presumed rows per subarray", {.min = 1});
   flags.ParseOrExit(argc, argv, 1);
+  if (!platform.empty() && (snc || ddr5)) {
+    std::fprintf(stderr, "silozctl topology: --platform and %s are exclusive\n",
+                 snc ? "--snc" : "--ddr5");
+    return 1;
+  }
   DramGeometry geometry = ddr5 ? Ddr5Geometry() : DramGeometry{};
   SilozConfig config;
   std::unique_ptr<AddressDecoder> decoder;
@@ -186,9 +192,9 @@ int CmdAudit(FlagSet& flags, int argc, char** argv) {
     std::printf("%s", report.ToText().c_str());
   }
   // Kept out of the report itself so stdout stays identical for every N.
-  std::fprintf(stderr, "blast-radius scan: %u workers, %llu tasks (%llu stolen), wall %.1f ms\n",
+  std::fprintf(stderr, "blast-radius scan: %u workers, %llu tasks, wall %.1f ms\n",
                report.scan_pool.workers, static_cast<unsigned long long>(report.scan_pool.tasks),
-               static_cast<unsigned long long>(report.scan_pool.steals), report.scan_wall_ms);
+               report.scan_wall_ms);
 
   const Status audit = hypervisor.AuditVmIsolation(vm);
   std::printf("EPT walk audit: %s\n", audit.ok() ? "PASS" : audit.error().ToString().c_str());

@@ -4,7 +4,7 @@
 The determinism contract (DESIGN.md §9) says model-domain metric *values* are
 thread-count-invariant: a serial and a parallel run of the same seeded
 configuration must export identical "model" sections. The "sched" section
-(steals, sleeps) measures the host and legitimately differs, so it is
+(pool task counts) measures the host and legitimately differs, so it is
 ignored.
 
 Usage: diff_model_metrics.py A.json B.json

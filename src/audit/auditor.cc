@@ -410,17 +410,16 @@ void Auditor::CheckBlastRadius(Report& report) const {
   }
 
   std::vector<Report> locals(shards.size());
-  ThreadPool pool(options_.threads);
   const auto wall_start = std::chrono::steady_clock::now();
   {
     obs::TraceSpan scan_span("audit.BlastRadiusScan");
-    pool.ParallelFor(0, shards.size(),
-                     [&](uint64_t i) { ScanBlastRadiusShard(shards[i], locals[i]); });
+    report.scan_pool = ParallelFor(options_.threads, shards.size(), [&](uint64_t i) {
+      ScanBlastRadiusShard(shards[i], locals[i]);
+    });
   }
   report.scan_wall_ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - wall_start)
                             .count();
-  report.scan_pool = pool.metrics();
   // Shard sizes are fixed by geometry, so observing them in shard order on
   // the coordinating thread keeps the histogram thread-count-invariant.
   obs::Histogram& per_shard =

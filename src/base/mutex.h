@@ -3,13 +3,11 @@
 // std::mutex and std::lock_guard carry no capability attributes, so code
 // using them directly cannot be checked by -Wthread-safety. These thin
 // wrappers add the attributes (and nothing else: Mutex is exactly a
-// std::mutex, MutexLock exactly a lock_guard, CondVar a condition_variable
-// that waits on a Mutex via the adopt/release idiom). Every concurrent
+// std::mutex, MutexLock exactly a lock_guard). Every concurrent
 // subsystem in the tree uses them; see DESIGN.md §12 for the conventions.
 #ifndef SILOZ_SRC_BASE_MUTEX_H_
 #define SILOZ_SRC_BASE_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #include "src/base/thread_annotations.h"
@@ -28,12 +26,11 @@ class CAPABILITY("mutex") Mutex {
 
   // Tells the analysis (not the runtime) that this mutex is held. Used at
   // the top of lambdas that execute while the enclosing scope holds the
-  // lock — rollback closures, allocator callbacks, wait predicates — since
+  // lock — rollback closures, allocator callbacks — since
   // the analysis examines a lambda body with an empty lock set.
   void AssertHeld() const ASSERT_CAPABILITY(this) {}
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -48,38 +45,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// Condition variable waiting on a Mutex. Wait() atomically releases the
-// mutex while blocked and reacquires it before returning, exactly like
-// std::condition_variable — the capability is held on entry and on exit,
-// which is all the (lock-set-based) analysis needs to see.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void Wait(Mutex& mu) REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();  // ownership stays with the caller's scope
-  }
-
-  // Waits until pred() is true. `pred` runs with the mutex held; if it reads
-  // GUARDED_BY state it should open with mu.AssertHeld().
-  template <typename Pred>
-  void Wait(Mutex& mu, Pred pred) REQUIRES(mu) {
-    while (!pred()) {
-      Wait(mu);
-    }
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace siloz

@@ -129,26 +129,23 @@ Result<ShardedEngineResult> RunShardedClosedLoop(std::span<const MemRequest> req
   // battery's fault-injection leg).
   SILOZ_FAULT_POINT("alloc.shard.dispatch");
 
-  // Worker tasks fill only their own slot; the pool's barrier makes the
+  // Worker tasks fill only their own slot; ParallelFor's join makes the
   // coordinating thread's ordered merge race-free. Each shard decodes its
   // own subsequence inline against its private controller.
   std::vector<std::optional<MemoryController>> shard_controllers(plan.shard_count());
   std::vector<EngineResult> shard_results(plan.shard_count());
-  {
-    ThreadPool pool(config.threads);
-    pool.ParallelFor(0, plan.shard_count(), [&](uint64_t index) {
-      const auto shard = static_cast<uint32_t>(index);
-      const uint32_t socket = plan.SocketOf(shard);
-      MemoryController& controller = shard_controllers[shard].emplace(
-          controllers[socket]->geometry(), socket, controllers[socket]->timings());
-      ShardServer server(controller, config.engine, config.bank_groups_per_queue,
-                         plan.FirstChannelOf(shard), plan.ChannelsOf(shard));
-      for (const uint32_t i : partition.Shard(shard)) {
-        server.Feed(controller.DecodeCmd(requests[i]));
-      }
-      shard_results[shard] = server.result();
-    });
-  }
+  ParallelFor(config.threads, plan.shard_count(), [&](uint64_t index) {
+    const auto shard = static_cast<uint32_t>(index);
+    const uint32_t socket = plan.SocketOf(shard);
+    MemoryController& controller = shard_controllers[shard].emplace(
+        controllers[socket]->geometry(), socket, controllers[socket]->timings());
+    ShardServer server(controller, config.engine, config.bank_groups_per_queue,
+                       plan.FirstChannelOf(shard), plan.ChannelsOf(shard));
+    for (const uint32_t i : partition.Shard(shard)) {
+      server.Feed(controller.DecodeCmd(requests[i]));
+    }
+    shard_results[shard] = server.result();
+  });
   return sharded_internal::MergeShards(plan, shard_controllers, shard_results, controllers,
                                        requests.size(), config.bank_groups_per_queue);
 }

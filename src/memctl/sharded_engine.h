@@ -62,7 +62,7 @@ struct ShardedEngineConfig {
   // configuration: completion times depend on this knob — the per-bank
   // command subsequences, and hence every invariant census, do not.
   uint32_t bank_groups_per_queue = 1;
-  // Workers for the shard serve loop (ThreadPool semantics; 1 = inline).
+  // Workers for the shard serve loop (ParallelFor semantics; 1 = inline).
   // NOT part of the model: results are bit-identical for every value.
   uint32_t threads = 1;
 };

@@ -14,8 +14,8 @@
 //  - Domain::kModel: facts about the simulated system (DRAM commands,
 //    allocations, flips). Thread-count-invariant by construction; the
 //    determinism tests and the CI diff compare only this section.
-//  - Domain::kSched: facts about the host execution (steals, sleeps,
-//    worker counts). Legitimately vary run to run; excluded from diffs.
+//  - Domain::kSched: facts about the host execution (task and worker
+//    counts). Legitimately vary run to run; excluded from diffs.
 //
 // Handles returned by Registry::Get* are stable for the registry's lifetime:
 // Reset() zeroes every value but never destroys a metric, so callers may

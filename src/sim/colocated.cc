@@ -119,9 +119,8 @@ Result<std::vector<std::vector<TenantResult>>> RunColocatedSweep(
   using ScenarioResult = Result<std::vector<TenantResult>>;
   std::vector<ScenarioResult> runs(scenarios.size(), ScenarioResult(std::vector<TenantResult>{}));
   PhaseTimer timer("colocated");
-  ThreadPool pool(threads);
   ProgressMeter progress("colocated", scenarios.size());
-  pool.ParallelFor(0, scenarios.size(), [&](uint64_t i) {
+  const PoolMetrics pool = ParallelFor(threads, scenarios.size(), [&](uint64_t i) {
     // Each scenario boots a private machine + hypervisor inside RunColocated,
     // so tasks share no mutable state; results depend only on the scenario,
     // never on scheduling.
@@ -129,7 +128,7 @@ Result<std::vector<std::vector<TenantResult>>> RunColocatedSweep(
     progress.Tick();
   });
   if (metrics != nullptr) {
-    *metrics = timer.Finish(pool.metrics());
+    *metrics = timer.Finish(pool);
   }
 
   std::vector<std::vector<TenantResult>> results;

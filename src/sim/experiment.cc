@@ -292,7 +292,7 @@ void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace,
           .Activate(media.rank, media.bank, media.row, clock0 + index * act_cost);
     }
   };
-  ThreadPool(threads).ParallelFor(0, plan.shard_count(), replay_shard);
+  ParallelFor(threads, plan.shard_count(), replay_shard);
 }
 
 Result<RunMeasurement> RunWorkload(const RunnerConfig& config, const WorkloadSpec& spec) {
@@ -346,9 +346,9 @@ Result<std::vector<RunMeasurement>> RunWorkloadGrid(const std::vector<GridPoint>
     }
   }
 
-  // Flattened schedule: every (point, trial) pair is one pool task, so grid
-  // cells and their trials share a single work-stealing schedule instead of
-  // nesting a serial trial pool inside each grid task (DESIGN.md §15) — a
+  // Flattened schedule: every (point, trial) pair is one ParallelFor index,
+  // so grid cells and their trials share a single schedule instead of
+  // nesting a serial trial loop inside each grid task (DESIGN.md §15) — a
   // figure grid's parallelism is points * trials, not points. Noise streams
   // fork per point in trial order up front (ForkNoiseStreams), so the
   // flattening is invisible in the results. Observability
@@ -375,10 +375,9 @@ Result<std::vector<RunMeasurement>> RunWorkloadGrid(const std::vector<GridPoint>
 
   PoolMetrics pool_metrics;
   {
-    ThreadPool pool(threads);
     obs::TraceSpan span("grid");
     ProgressMeter progress("grid", tasks.size());
-    pool.ParallelFor(0, tasks.size(), [&](uint64_t t) {
+    pool_metrics = ParallelFor(threads, tasks.size(), [&](uint64_t t) {
       const FlatTask task = tasks[t];
       const GridPoint& point = points[task.point];
       Result<TrialOutcome>& outcome = point_outcomes[task.point][task.trial];
@@ -393,7 +392,6 @@ Result<std::vector<RunMeasurement>> RunWorkloadGrid(const std::vector<GridPoint>
       }
       progress.Tick();
     });
-    pool_metrics = pool.metrics();
   }
   if (metrics != nullptr) {
     *metrics = timer.Finish(pool_metrics);

@@ -6,7 +6,7 @@
 // with 95% confidence intervals — the quantities the paper's figures plot.
 //
 // Trials are independent by construction. A run's one parallel level is its
-// (point, trial) tasks on a single work-stealing pool (src/base/thread_pool.h);
+// (point, trial) tasks on one fork-join ParallelFor (src/base/thread_pool.h);
 // RunWorkload is the one-point grid. In timing mode trials share only the
 // immutable booted platform (decoder, VM placement) and own private
 // controllers; in fault mode each trial gets a whole Machine (disturbance
@@ -139,8 +139,8 @@ struct GridPoint {
   WorkloadSpec workload;
 };
 
-// Runs every (point, trial) pair as one pool task — grid cells and their
-// trials share a single flat work-stealing schedule instead of nesting a
+// Runs every (point, trial) pair as one ParallelFor index — grid cells and
+// their trials share a single flat schedule instead of nesting a
 // serial trial loop inside each grid task — and returns the measurements in
 // point order, merged per point in trial order: bit-identical for every
 // thread count, and identical to running each point through RunWorkload.

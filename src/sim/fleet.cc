@@ -465,7 +465,7 @@ Result<FleetReport> RunFleetChurn(const FleetConfig& config) {
   }
   std::vector<std::vector<Arrival>> per_stream(config.streams);
   // The run's one parallel level; everything after the merge is serial.
-  ThreadPool(config.threads).ParallelFor(0, config.streams, [&](uint64_t s) {
+  ParallelFor(config.threads, config.streams, [&](uint64_t s) {
     Rng rng = stream_rngs[s];
     std::vector<Arrival>& out = per_stream[s];
     double t = 0.0;

@@ -206,10 +206,7 @@ uint64_t Machine::ReplayActs(std::span<const ActBurst> bursts, uint32_t threads)
       busy.push_back(index);
     }
   }
-  // No more workers than tasks: a one-DIMM replay runs inline.
-  const size_t tasks = std::max<size_t>(busy.size(), 1);
-  ThreadPool pool(static_cast<uint32_t>(std::min<size_t>(ResolveThreads(threads), tasks)));
-  pool.ParallelFor(0, busy.size(), [&](uint64_t t) { replay_device(busy[t]); });
+  ParallelFor(threads, busy.size(), [&](uint64_t t) { replay_device(busy[t]); });
   clock_ns_ = starts.back();
   return acts;
 }

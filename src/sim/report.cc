@@ -53,18 +53,9 @@ void ProgressMeter::RenderLocked() {
 std::string PoolPhaseMetrics::ToText() const {
   char line[192];
   std::snprintf(line, sizeof(line),
-                "%s: %u workers, %llu tasks (%llu stolen), wall %.1f ms, cpu %.1f ms",
-                phase.c_str(), pool.workers, static_cast<unsigned long long>(pool.tasks),
-                static_cast<unsigned long long>(pool.steals), wall_ms, cpu_ms);
+                "%s: %u workers, %llu tasks, wall %.1f ms, cpu %.1f ms", phase.c_str(),
+                pool.workers, static_cast<unsigned long long>(pool.tasks), wall_ms, cpu_ms);
   return line;
-}
-
-std::string PoolPhaseMetrics::ToJson() const {
-  std::ostringstream out;
-  out << "{\"phase\":\"" << phase << "\",\"workers\":" << pool.workers
-      << ",\"tasks\":" << pool.tasks << ",\"steals\":" << pool.steals << ",\"wall_ms\":"
-      << CsvNumber(wall_ms) << ",\"cpu_ms\":" << CsvNumber(cpu_ms) << "}";
-  return out.str();
 }
 
 PhaseTimer::PhaseTimer(std::string phase)

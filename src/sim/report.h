@@ -62,10 +62,8 @@ struct PoolPhaseMetrics {
   double wall_ms = 0.0;
   double cpu_ms = 0.0;
 
-  // "phase: N workers, M tasks (S stolen), wall X.X ms, cpu Y.Y ms"
+  // "phase: N workers, M tasks, wall X.X ms, cpu Y.Y ms"
   std::string ToText() const;
-  // {"phase":"...","workers":N,"tasks":M,"steals":S,"wall_ms":X,"cpu_ms":Y}
-  std::string ToJson() const;
 };
 
 // Measures one phase: construct before, Finish() after, with the pool's

@@ -158,26 +158,23 @@ TEST(HypervisorConcurrentChurn, ParallelLifecycleRestoresCapacity) {
   constexpr uint32_t kRoundsPerWorker = 12;
   std::atomic<uint32_t> creates{0};
   std::atomic<uint32_t> capacity_misses{0};
-  {
-    ThreadPool pool(static_cast<uint32_t>(kWorkers));
-    pool.ParallelFor(0, kWorkers, [&](uint64_t worker) {
-      for (uint32_t round = 0; round < kRoundsPerWorker; ++round) {
-        VmConfig config;
-        config.name = "churn-" + std::to_string(worker) + "-" + std::to_string(round);
-        config.memory_bytes = 1536_MiB;
-        config.socket = static_cast<uint32_t>(worker % 2);
-        Result<VmId> id = hypervisor.CreateVm(config);
-        if (!id.ok()) {
-          capacity_misses.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        creates.fetch_add(1, std::memory_order_relaxed);
-        EXPECT_TRUE(hypervisor.AuditVmIsolation(*id).ok());
-        EXPECT_TRUE(hypervisor.DestroyVm(*id).ok());
-        EXPECT_TRUE(hypervisor.ReleaseVmNodes(*id).ok());
+  ParallelFor(static_cast<uint32_t>(kWorkers), kWorkers, [&](uint64_t worker) {
+    for (uint32_t round = 0; round < kRoundsPerWorker; ++round) {
+      VmConfig config;
+      config.name = "churn-" + std::to_string(worker) + "-" + std::to_string(round);
+      config.memory_bytes = 1536_MiB;
+      config.socket = static_cast<uint32_t>(worker % 2);
+      Result<VmId> id = hypervisor.CreateVm(config);
+      if (!id.ok()) {
+        capacity_misses.fetch_add(1, std::memory_order_relaxed);
+        continue;
       }
-    });
-  }
+      creates.fetch_add(1, std::memory_order_relaxed);
+      EXPECT_TRUE(hypervisor.AuditVmIsolation(*id).ok());
+      EXPECT_TRUE(hypervisor.DestroyVm(*id).ok());
+      EXPECT_TRUE(hypervisor.ReleaseVmNodes(*id).ok());
+    }
+  });
 
   EXPECT_GT(creates.load(), 0u) << "every create hit capacity; churn vacuous";
   EXPECT_EQ(hypervisor.AvailableGuestNodes(0).size(), boot_nodes_s0);

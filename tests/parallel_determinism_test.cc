@@ -210,7 +210,7 @@ TEST(ParallelDeterminismTest, AuditReportBytesIdenticalAcrossThreadCounts) {
 // Model-domain metric *values* join the contract: flush points are
 // deterministic program points and integer addition commutes across shards,
 // so the serialized model section must be byte-identical for every thread
-// count. (The sched section — steals, sleeps — measures the host and is
+// count. (The sched section — pool task counts — measures the host and is
 // exempt.) The registry is process-global and Reset() is value-only, so the
 // key set can only grow; resetting before each run makes the captures
 // comparable whatever ran earlier in this binary.

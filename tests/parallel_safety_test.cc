@@ -1,12 +1,11 @@
 // Thread-safety battery for the parallel phases — the targets of the CI
 // ThreadSanitizer job (SILOZ_SANITIZE=thread). These tests are about data
-// races, not results: they drive the pool, the trial loop, the audit scan,
+// races, not results: they drive ParallelFor, the trial loop, the audit scan,
 // and the log sink from many threads at once so TSan can observe every
 // cross-thread access. Result checks are minimal (determinism is covered by
 // parallel_determinism_test.cc).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -25,34 +24,16 @@ namespace siloz {
 namespace {
 
 TEST(ParallelSafetyTest, PoolStressManyWaves) {
-  // Repeated submit/drain waves exercise the sleep/wake protocol (the
-  // missed-notification window) far more than one big batch would.
-  ThreadPool pool(8);
-  std::atomic<uint64_t> sum{0};
+  // Repeated fork-join waves exercise thread spawn, index claiming and join
+  // far more than one big batch would. Each wave's plain (non-atomic) writes
+  // must be visible to the caller once ParallelFor returns.
+  std::vector<uint64_t> hits(64, 0);
   for (int wave = 0; wave < 50; ++wave) {
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&sum] { sum.fetch_add(1); });
-    }
-    pool.Wait();
+    const PoolMetrics metrics = ParallelFor(8, hits.size(), [&hits](uint64_t i) { ++hits[i]; });
+    EXPECT_EQ(metrics.tasks, hits.size());
   }
-  EXPECT_EQ(sum.load(), 50u * 64u);
-}
-
-TEST(ParallelSafetyTest, ConcurrentWaitersAllSeePoolDrained) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 256; ++i) {
-    pool.Submit([&done] { done.fetch_add(1); });
-  }
-  std::vector<std::thread> waiters;
-  for (int i = 0; i < 4; ++i) {
-    waiters.emplace_back([&pool, &done] {
-      pool.Wait();
-      EXPECT_EQ(done.load(), 256);
-    });
-  }
-  for (std::thread& waiter : waiters) {
-    waiter.join();
+  for (const uint64_t count : hits) {
+    EXPECT_EQ(count, 50u);
   }
 }
 

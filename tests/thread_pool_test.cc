@@ -1,8 +1,8 @@
-// Tests for the work-stealing pool (src/base/thread_pool.h): correctness of
-// Submit/Wait/ParallelFor, the inline serial path, metrics accounting, and
-// the ResolveThreads knob. Scheduling-order properties are deliberately not
-// asserted — determinism lives in the callers' merge discipline (DESIGN.md
-// §8), which tests/parallel_determinism_test.cc covers.
+// Tests for the fork-join ParallelFor (src/base/thread_pool.h): every index
+// runs exactly once, the inline serial path, metrics accounting, and the
+// ResolveThreads knob. Scheduling-order properties of the parallel path are
+// deliberately not asserted — determinism lives in the callers' merge
+// discipline (DESIGN.md §8), which tests/parallel_determinism_test.cc covers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,24 +60,22 @@ TEST(ResolveThreadsTest, ZeroFallsBackToEnvThenHardware) {
 TEST(ResolveThreadsTest, AutoDetectUsesHardwareConcurrency) {
   // --threads 0 is the documented auto-detect spelling everywhere a thread
   // knob is exposed (silozctl, siloz_audit, the figure benches): without an
-  // env override it resolves to the host's hardware concurrency, and a pool
-  // built from 0 gets exactly that many workers.
+  // env override it resolves to the host's hardware concurrency, and a
+  // ParallelFor given 0 reports exactly that many workers.
   ScopedThreadsEnv guard;
   ::unsetenv("SILOZ_THREADS");
   EXPECT_EQ(ResolveThreads(0), std::max(1u, std::thread::hardware_concurrency()));
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.worker_count(), ResolveThreads(0));
+  EXPECT_EQ(ParallelFor(0, 0, [](uint64_t) {}).workers, ResolveThreads(0));
 }
 
 // The figure driver resolves --threads once and forwards the resolved value:
-// the count its banner prints must be the worker count of the pool that runs
-// the grid.
+// the count its banner prints must be the worker count of the ParallelFor
+// that runs the grid.
 TEST(ResolveThreadsTest, ExplicitFlagWinsOverEnvironment) {
   ScopedThreadsEnv guard;
   ::setenv("SILOZ_THREADS", "7", 1);
   EXPECT_EQ(ResolveThreads(3), 3u);
-  ThreadPool pool(ResolveThreads(3));
-  EXPECT_EQ(pool.worker_count(), 3u);
+  EXPECT_EQ(ParallelFor(ResolveThreads(3), 0, [](uint64_t) {}).workers, 3u);
 }
 
 TEST(ResolveThreadsTest, AutoResolvesEnvironmentThenHardware) {
@@ -105,100 +103,50 @@ TEST(ResolveThreadsTest, ReportedCountEqualsPoolWorkerCountUnderEnvDrift) {
   ::setenv("SILOZ_THREADS", "3", 1);
   const uint32_t reported = ResolveThreads(0);
   ASSERT_EQ(reported, 3u);
-  // ...then the environment drifts before the grid pool is constructed.
+  // ...then the environment drifts before the grid runs.
   ::setenv("SILOZ_THREADS", "7", 1);
-  // Forwarding the resolved value keeps the pool in agreement with the
+  // Forwarding the resolved value keeps the grid in agreement with the
   // banner.
-  ThreadPool pool(reported);
-  EXPECT_EQ(pool.worker_count(), reported);
-  // Handing the raw flag to the pool and letting it re-resolve would have
-  // produced a 7-worker pool under a "3 worker threads" banner.
-  ThreadPool stale(0);
-  EXPECT_EQ(stale.worker_count(), 7u);
-  EXPECT_NE(stale.worker_count(), reported);
-}
-
-TEST(ThreadPoolTest, SerialPoolRunsTasksInlineInSubmissionOrder) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.worker_count(), 1u);
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&order, i] { order.push_back(i); });
-  }
-  pool.Wait();  // no-op: everything already ran inside Submit
-  std::vector<int> expected(8);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-  const PoolMetrics metrics = pool.metrics();
-  EXPECT_EQ(metrics.workers, 1u);
-  EXPECT_EQ(metrics.tasks, 8u);
-  EXPECT_EQ(metrics.steals, 0u);
-}
-
-TEST(ThreadPoolTest, SubmitWaitRunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.worker_count(), 4u);
-  constexpr int kTasks = 500;
-  std::vector<std::atomic<int>> runs(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&runs, i] { runs[i].fetch_add(1); });
-  }
-  pool.Wait();
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
-  }
-  EXPECT_EQ(pool.metrics().tasks, static_cast<uint64_t>(kTasks));
-}
-
-TEST(ThreadPoolTest, PoolIsReusableAcrossWaits) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), (round + 1) * 50);
-  }
-  EXPECT_EQ(pool.metrics().tasks, 150u);
+  EXPECT_EQ(ParallelFor(reported, 0, [](uint64_t) {}).workers, reported);
+  // Handing the raw flag to ParallelFor and letting it re-resolve would have
+  // run 7 workers under a "3 worker threads" banner.
+  const uint32_t stale = ParallelFor(0, 0, [](uint64_t) {}).workers;
+  EXPECT_EQ(stale, 7u);
+  EXPECT_NE(stale, reported);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversExactRange) {
-  for (const uint32_t threads : {1u, 2u, 5u}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int>> hits(100);
-    pool.ParallelFor(10, 90, [&hits](uint64_t i) { hits[i].fetch_add(1); });
-    for (uint64_t i = 0; i < 100; ++i) {
-      EXPECT_EQ(hits[i].load(), (i >= 10 && i < 90) ? 1 : 0) << "i=" << i << " threads=" << threads;
+  for (const uint32_t threads : {1u, 2u, 5u, 64u}) {
+    for (const uint64_t count : {0u, 1u, 3u, 100u, 2000u}) {
+      std::vector<std::atomic<int>> hits(count);
+      const PoolMetrics metrics =
+          ParallelFor(threads, count, [&hits](uint64_t i) { hits[i].fetch_add(1); });
+      for (uint64_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "i=" << i << " threads=" << threads;
+      }
+      EXPECT_EQ(metrics.workers, threads);
+      EXPECT_EQ(metrics.tasks, count);
+      EXPECT_EQ(metrics.steals, 0u);
     }
-    // One task per iteration, so the metric is comparable across paths.
-    EXPECT_EQ(pool.metrics().tasks, 80u);
   }
 }
 
 TEST(ThreadPoolTest, ParallelForEmptyRangeIsANoOp) {
-  ThreadPool pool(2);
-  pool.ParallelFor(5, 5, [](uint64_t) { FAIL() << "must not be called"; });
-  EXPECT_EQ(pool.metrics().tasks, 0u);
+  const PoolMetrics metrics = ParallelFor(2, 0, [](uint64_t) { FAIL() << "must not be called"; });
+  EXPECT_EQ(metrics.workers, 2u);
+  EXPECT_EQ(metrics.tasks, 0u);
 }
 
-TEST(ThreadPoolTest, WaitWithNothingSubmittedReturns) {
-  ThreadPool pool(3);
-  pool.Wait();
-  pool.Wait();
-  EXPECT_EQ(pool.metrics().tasks, 0u);
-}
-
-TEST(ThreadPoolTest, StealsAreCountedAndBoundedByTasks) {
-  ThreadPool pool(4);
-  constexpr int kTasks = 2000;
-  std::atomic<uint64_t> sum{0};
-  pool.ParallelFor(0, kTasks, [&sum](uint64_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), static_cast<uint64_t>(kTasks) * (kTasks - 1) / 2);
-  const PoolMetrics metrics = pool.metrics();
-  EXPECT_EQ(metrics.tasks, static_cast<uint64_t>(kTasks));
-  // Steals depend on scheduling; the invariant is that every steal was a task.
-  EXPECT_LE(metrics.steals, metrics.tasks);
+TEST(ThreadPoolTest, OneThreadRunsInlineInIndexOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<uint64_t> order;
+  ParallelFor(1, 8, [&](uint64_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  std::vector<uint64_t> expected(8);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
 }
 
 }  // namespace

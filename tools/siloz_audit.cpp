@@ -87,7 +87,7 @@ int RunFaultSweeps(const AddressDecoder& decoder, const SilozConfig& config,
 
 int main(int argc, char** argv) {
   std::string platform;
-  std::string decoder_name = "skylake";
+  std::string decoder_name;  // empty = skylake; set only by an explicit --decoder
   std::string corrupt = "none";
   bool ddr5 = false;
   bool scrambling = false;
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   FlagSet flags("siloz_audit");
   flags.Add("--platform", &platform,
             "registered platform: decoder family,\n"
-            "geometry, and remap semantics; overrides\n"
+            "geometry, and remap semantics; excludes\n"
             "--decoder/--ddr5",
             {.choices = PlatformNames()});
   flags.Add("--decoder", &decoder_name, "platform decoder (default skylake)",
@@ -131,6 +131,11 @@ int main(int argc, char** argv) {
   flags.Add("--json", &json, "machine-readable report");
   flags.AddExports(&exports);
   flags.ParseOrExit(argc, argv, 1);
+  if (!platform.empty() && (ddr5 || !decoder_name.empty())) {
+    std::fprintf(stderr, "siloz_audit: --platform and %s are exclusive\n",
+                 ddr5 ? "--ddr5" : "--decoder");
+    return 1;
+  }
 
   const PlatformInfo* platform_info = platform.empty() ? nullptr : FindPlatform(platform);
   DramGeometry geometry = platform_info != nullptr ? platform_info->geometry
@@ -151,7 +156,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     decoder = std::move(*made);
-  } else if (decoder_name == "skylake") {
+  } else if (decoder_name.empty() || decoder_name == "skylake") {
     decoder = std::make_unique<SkylakeDecoder>(geometry);
   } else if (decoder_name == "snc2") {
     decoder = std::make_unique<SncDecoder>(geometry, 2);
@@ -202,12 +207,11 @@ int main(int argc, char** argv) {
   }
   // Scheduler/timing metrics go to stderr so the report on stdout (and the
   // JSON) stays byte-identical across thread counts.
-  std::fprintf(stderr, "blast-radius scan: %u workers, %llu tasks (%llu stolen), wall %.1f ms\n",
+  std::fprintf(stderr, "blast-radius scan: %u workers, %llu tasks, wall %.1f ms\n",
                report->scan_pool.workers,
-               static_cast<unsigned long long>(report->scan_pool.tasks),
-               static_cast<unsigned long long>(report->scan_pool.steals), report->scan_wall_ms);
-  // AuditProvisioningPlan keeps its hypervisor and pool function-local, so
-  // every model counter has been flushed by now.
+               static_cast<unsigned long long>(report->scan_pool.tasks), report->scan_wall_ms);
+  // AuditProvisioningPlan keeps its hypervisor function-local, so every
+  // model counter has been flushed by now.
   if (!exports.Write()) {
     return 1;
   }
