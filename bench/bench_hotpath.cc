@@ -1,7 +1,8 @@
-// Hot-path regression benchmark: self-timed microbenchmarks over the four
+// Hot-path regression benchmark: self-timed microbenchmarks over the
 // engine-critical paths — address decode round-trip, ACT + disturbance
-// delivery, read-through-ECC, and the end-to-end shard serve engine — each
-// paired with a deterministic checksum over its observable results.
+// delivery (alone and through a TRR-enabled device), read-through-ECC, and
+// the end-to-end shard serve engine — each paired with a deterministic
+// checksum over its observable results.
 //
 // Two contracts, enforced at different strengths (see
 // scripts/check_bench_regression.py):
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "src/addr/decoder.h"
+#include "src/addr/xor_decoder.h"
 #include "src/base/flags.h"
 #include "src/dram/device.h"
 #include "src/dram/fault_model.h"
@@ -158,6 +160,53 @@ BenchResult BenchActDisturb() {
   });
 }
 
+// Random-row ACTs through a zen DramDevice with TRR on: the shape of a
+// fault-mode trial, where each ACT pays a remap, a tracker lookup, victim
+// probes spread over many slabs, and a RowPress charge for the row it
+// closes. Three quarters of the ACTs hammer a hot set per bank at a
+// Table-3-class threshold: 8 rows on even banks, which the 12-entry tracker
+// catches and refreshes around, and 12 on odd banks, which the cold decoys
+// push out of it often enough to flip. The rest land anywhere in each bank's
+// first eight subarrays.
+BenchResult BenchDeviceActRandom() {
+  constexpr uint64_t kIters = 1'000'000;
+  return RunBench("device_act_random", kIters, [](Checksum& checksum) {
+    const DramGeometry geometry = ZenXorSpec().geometry;
+    DisturbanceProfile profile;
+    profile.threshold_mean = 2400.0;
+    profile.threshold_spread = 0.15;
+    TrrConfig trr;
+    trr.act_threshold = 400;
+    DramDevice device(geometry, RemapConfig{}, profile, trr, "bench");
+    uint64_t state = 7;
+    uint64_t now = 0;
+    for (uint64_t i = 0; i < kIters; ++i) {
+      const uint64_t r = NextJump(state);
+      const auto rank = static_cast<uint32_t>(r % geometry.ranks_per_dimm);
+      const auto bank = static_cast<uint32_t>((r >> 8) % geometry.banks_per_rank);
+      const bool hot = ((r >> 16) & 3) != 0;
+      const uint32_t hot_rows = (bank & 1) != 0 ? 12 : 8;
+      const auto row = static_cast<uint32_t>(
+          hot ? 4096 + (r >> 24) % hot_rows : (r >> 24) % (8 * geometry.rows_per_subarray));
+      device.Activate(rank, bank, row, now);
+      now += 50;
+    }
+    for (const FlipRecord& flip : device.flip_log()) {
+      checksum.Fold((static_cast<uint64_t>(flip.rank) << 56) ^
+                    (static_cast<uint64_t>(flip.bank) << 48) ^
+                    (static_cast<uint64_t>(flip.internal_row) << 24) ^
+                    (static_cast<uint64_t>(flip.byte_in_row) << 3) ^ flip.bit_in_byte);
+      checksum.Fold(flip.time_ns);
+    }
+    const DeviceCounters& counters = device.counters();
+    checksum.Fold(counters.activates);
+    checksum.Fold(counters.ref_ticks);
+    checksum.Fold(counters.trr_victim_refreshes);
+    checksum.Fold(counters.flips_hammer);
+    checksum.Fold(counters.flips_rowpress);
+  });
+}
+
 // Reads through SEC-DED ECC against the chunked row arena, with periodic
 // writes and injected flips so the correction paths run.
 BenchResult BenchReadEcc() {
@@ -283,6 +332,7 @@ int main(int argc, char** argv) {
   const std::vector<siloz::BenchResult> results = {
       siloz::BenchDecodeRoundTrip(),
       siloz::BenchActDisturb(),
+      siloz::BenchDeviceActRandom(),
       siloz::BenchReadEcc(),
       siloz::BenchShardedClosedLoop(knobs.channels_per_shard, knobs.bank_groups_per_queue),
   };
