@@ -1,5 +1,6 @@
 #include "src/addr/xor_decoder.h"
 
+#include <array>
 #include <bit>
 #include <utility>
 
@@ -11,18 +12,40 @@ namespace siloz {
 
 namespace {
 
-// Parity of (value & mask): the GF(2) dot product the whole scheme reduces to.
-inline uint64_t ParityOf(uint64_t value, uint64_t mask) {
-  return static_cast<uint64_t>(std::popcount(value & mask) & 1);
+// Byte-sliced lookup tables for the GF(2) map whose output bit i is
+// parity(input & rows[i]). The map is linear, so its image of an input is
+// the XOR of the images of the input's bytes: table b, entry v holds the
+// image of v << 8b. Built column by column: entry v is entry v-without-its-
+// lowest-bit XOR the image of that one input bit.
+std::vector<std::array<uint64_t, 256>> ByteTables(const std::vector<uint64_t>& rows,
+                                                  uint32_t bits) {
+  std::vector<uint64_t> column(bits, 0);  // image of input bit j
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (uint32_t j = 0; j < bits; ++j) {
+      column[j] |= ((rows[i] >> j) & 1) << i;
+    }
+  }
+  std::vector<std::array<uint64_t, 256>> tables((bits + 7) / 8);
+  for (uint32_t b = 0; b < tables.size(); ++b) {
+    tables[b][0] = 0;
+    for (uint32_t v = 1; v < 256; ++v) {
+      const auto low = static_cast<uint32_t>(std::countr_zero(v));
+      const uint32_t bit = 8 * b + low;
+      tables[b][v] = tables[b][v & (v - 1)] ^ (bit < bits ? column[bit] : 0);
+    }
+  }
+  return tables;
 }
 
-// Gathers a field's bits from `phys` through its masks, LSB-first.
-inline uint32_t ApplyMasks(uint64_t phys, const std::vector<uint64_t>& masks) {
-  uint32_t value = 0;
-  for (size_t i = 0; i < masks.size(); ++i) {
-    value |= static_cast<uint32_t>(ParityOf(phys, masks[i])) << i;
+// Image of `input` under the map ByteTables() sliced.
+inline uint64_t ApplyTables(const std::vector<std::array<uint64_t, 256>>& tables,
+                            uint64_t input) {
+  uint64_t image = 0;
+  for (const std::array<uint64_t, 256>& table : tables) {
+    image ^= table[input & 0xFF];
+    input >>= 8;
   }
-  return value;
+  return image;
 }
 
 Status CheckFieldMasks(const char* field, uint64_t extent, const std::vector<uint64_t>& masks,
@@ -120,6 +143,8 @@ XorMaskDecoder::XorMaskDecoder(XorMaskSpec spec) : spec_(std::move(spec)) {
   // The left half is now I, so row i of the right half is the media-vector
   // mask producing phys bit i.
   inverse_ = std::move(inv);
+  phys_to_media_ = ByteTables(forward_, bits_);
+  media_to_phys_ = ByteTables(inverse_, bits_);
 }
 
 Result<std::unique_ptr<XorMaskDecoder>> XorMaskDecoder::Build(const XorMaskSpec& spec) {
@@ -171,14 +196,21 @@ Result<MediaAddress> XorMaskDecoder::PhysToMedia(uint64_t phys) const {
     return MakeError(ErrorCode::kOutOfRange,
                      "phys 0x" + std::to_string(phys) + " beyond DRAM");
   }
+  // Unpack the media bit vector field by field, in forward-matrix row order.
+  uint64_t vec = ApplyTables(phys_to_media_, phys);
+  const auto take = [&vec](uint32_t width) {
+    const auto field = static_cast<uint32_t>(vec & ((uint64_t{1} << width) - 1));
+    vec >>= width;
+    return field;
+  };
   MediaAddress media;
-  media.column = ApplyMasks(phys, spec_.column_masks);
-  media.channel = ApplyMasks(phys, spec_.channel_masks);
-  media.dimm = ApplyMasks(phys, spec_.dimm_masks);
-  media.rank = ApplyMasks(phys, spec_.rank_masks);
-  media.bank = ApplyMasks(phys, spec_.bank_masks);
-  media.row = ApplyMasks(phys, spec_.row_masks);
-  media.socket = ApplyMasks(phys, spec_.socket_masks);
+  media.column = take(column_bits_);
+  media.channel = take(channel_bits_);
+  media.dimm = take(dimm_bits_);
+  media.rank = take(rank_bits_);
+  media.bank = take(bank_bits_);
+  media.row = take(row_bits_);
+  media.socket = take(socket_bits_);
   return media;
 }
 
@@ -201,11 +233,7 @@ Result<uint64_t> XorMaskDecoder::MediaToPhys(const MediaAddress& media) const {
   vec |= static_cast<uint64_t>(media.row) << shift;
   shift += row_bits_;
   vec |= static_cast<uint64_t>(media.socket) << shift;
-  uint64_t phys = 0;
-  for (uint32_t bit = 0; bit < bits_; ++bit) {
-    phys |= ParityOf(vec, inverse_[bit]) << bit;
-  }
-  return phys;
+  return ApplyTables(media_to_phys_, vec);
 }
 
 XorMaskSpec ZenXorSpec() {

@@ -7,13 +7,16 @@
 // bit being the parity of (phys & mask). This module is the generic engine
 // for that family: encoding is mask application, decoding is application of
 // the matrix inverse, computed once at construction by Gaussian elimination
-// over GF(2). A mapping is a bijection iff its bit matrix has full rank,
+// over GF(2). Both directions run byte-sliced: the map is linear, so it is
+// the XOR of one 256-entry table lookup per input byte, tabulated at
+// construction. A mapping is a bijection iff its bit matrix has full rank,
 // which makes invertibility a *checkable property* rather than an assumption
 // — the platform test battery asserts it for every registered platform and
 // proves a deliberately rank-deficient spec is rejected.
 #ifndef SILOZ_SRC_ADDR_XOR_DECODER_H_
 #define SILOZ_SRC_ADDR_XOR_DECODER_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -79,6 +82,10 @@ class XorMaskDecoder final : public AddressDecoder {
            bank_bits_ = 0, row_bits_ = 0, socket_bits_ = 0;
   std::vector<uint64_t> forward_;  // media bit i = parity(phys & forward_[i])
   std::vector<uint64_t> inverse_;  // phys bit i = parity(media_vec & inverse_[i])
+  // Byte-sliced forward_ and inverse_: table b, entry v is the packed media
+  // vector of phys v << 8b (resp. the phys of media vector v << 8b).
+  std::vector<std::array<uint64_t, 256>> phys_to_media_;
+  std::vector<std::array<uint64_t, 256>> media_to_phys_;
 };
 
 // The Zen-style reference platform: 1 socket, 2 channels, 2 ranks, 16 banks

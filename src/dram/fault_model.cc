@@ -1,5 +1,7 @@
 #include "src/dram/fault_model.h"
 
+#include <algorithm>
+
 #include "src/base/check.h"
 #include "src/base/units.h"
 
@@ -32,6 +34,7 @@ DisturbanceModel::DisturbanceModel(DisturbanceProfile profile, uint32_t rows_per
   SILOZ_CHECK_GT(profile_.threshold_mean, 0.0);
   subarrays_per_bank_ = rows_per_bank_ / rows_per_subarray_;
   subarray_div_ = FastDivider(rows_per_subarray_);
+  min_threshold_ = std::min(ThresholdAt(0.0), ThresholdAt(1.0));
 }
 
 double DisturbanceModel::ThresholdFor(uint32_t bank_key, HalfRowSide side,
@@ -39,7 +42,7 @@ double DisturbanceModel::ThresholdFor(uint32_t bank_key, HalfRowSide side,
   const uint64_t h = Mix(profile_.seed, VictimKey(bank_key, side, internal_row));
   // Uniform in mean * [1 - spread, 1 + spread].
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  return profile_.threshold_mean * (1.0 + profile_.threshold_spread * (2.0 * u - 1.0));
+  return ThresholdAt(u);
 }
 
 DisturbanceModel::VictimState* DisturbanceModel::AllocateSlab(size_t slot, uint32_t subarray) {
@@ -59,8 +62,8 @@ DisturbanceModel::VictimState* DisturbanceModel::AllocateSlab(size_t slot, uint3
   return slab.get();
 }
 
-void DisturbanceModel::EmitFlips(uint32_t victim_row, VictimState& state, FlipSink& sink) {
-  const double threshold = state.threshold;
+void DisturbanceModel::EmitFlips(uint32_t victim_row, double threshold, VictimState& state,
+                                 FlipSink& sink) {
   // Caller established the first crossing; convert it (and any further ones
   // the same probe earned) into 1 + Geometric(extra_flip_prob) flips each, at
   // hash-determined positions.
@@ -112,6 +115,7 @@ void DisturbanceModel::AddDisturbanceClipped(uint32_t bank_key, HalfRowSide side
 void DisturbanceModel::OnRowOpen(uint32_t bank_key, HalfRowSide side, uint32_t internal_row,
                                  uint64_t open_ns, uint64_t now_ns, FlipSink& sink) {
   SILOZ_DCHECK(internal_row < rows_per_bank_);
+  CheckEpochRange(now_ns);
   const double equivalent_acts = static_cast<double>(open_ns) * profile_.rowpress_acts_per_ns;
   const auto subarray = static_cast<uint32_t>(subarray_div_.Divide(internal_row));
   VictimState* slab = SlabFor(bank_key, side, subarray);
@@ -138,6 +142,7 @@ void DisturbanceModel::RefreshRow(uint32_t bank_key, HalfRowSide side, uint32_t 
   // Non-allocating: a row whose slab was never created carries no
   // disturbance, so refreshing it is a no-op (matching the auto-refresh
   // epochs, which are also lazy).
+  CheckEpochRange(now_ns);
   const size_t slot = static_cast<size_t>(bank_key) * 2 + static_cast<size_t>(side);
   if (slot >= slabs_.size() || slabs_[slot].empty()) {
     return;

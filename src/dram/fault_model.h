@@ -94,11 +94,13 @@ class FlipSink {
 //
 // State lives in flat per-(bank, side) subarray slabs indexed directly by
 // internal row: an ACT touches the aggressor's slab once and its ≤4 victim
-// entries by array index, with the per-row threshold cached in the entry
-// after the first probe. Slabs are allocated lazily per subarray (a
-// zero-initialized entry is semantically identical to an untracked victim:
-// the epoch-mismatch reset normalizes it on first probe), so commodity
-// access patterns that hammer a handful of subarrays stay compact.
+// entries by array index. An entry is 16 bytes, four to a cache line. It
+// caches no threshold: a probe compares against the profile's lowest
+// possible threshold first and hashes the row's own threshold only past
+// that bound. Slabs are allocated lazily per subarray (a zero-initialized
+// entry is semantically identical to an untracked victim: the
+// epoch-mismatch reset normalizes it on first probe), so commodity access
+// patterns that hammer a handful of subarrays stay compact.
 class DisturbanceModel {
  public:
   // `half_row_bits` = bits per half-row (4 KiB * 8 by default);
@@ -117,10 +119,11 @@ class DisturbanceModel {
                   FlipSink& sink) {
     SILOZ_DCHECK(internal_row < rows_per_bank_);
     const auto subarray = static_cast<uint32_t>(subarray_div_.Divide(internal_row));
+    CheckEpochRange(now_ns);
     VictimState* slab = SlabFor(bank_key, side, subarray);
     // The ACT refreshes the aggressor row itself. (Writing the fresh epoch
     // into a never-probed entry is equivalent to the epoch normalization a
-    // future probe would perform; the threshold cache is untouched.)
+    // future probe would perform.)
     VictimState& self = slab[internal_row - subarray * rows_per_subarray_];
     self.disturbance = 0.0;
     self.crossings = 0;
@@ -156,20 +159,28 @@ class DisturbanceModel {
 
  private:
   struct VictimState {
-    double disturbance = 0.0;   // accumulated since last refresh of this row
-    double threshold = 0.0;     // cached ThresholdFor; 0.0 = not yet computed
-    uint64_t refresh_epoch = 0; // auto-refresh epoch the disturbance belongs to
-    uint32_t crossings = 0;     // threshold crossings already converted to flips
-    uint32_t reserved = 0;      // pads the entry to 32 bytes
+    double disturbance = 0.0;    // accumulated since last refresh of this row
+    uint32_t refresh_epoch = 0;  // auto-refresh epoch the disturbance belongs to
+    uint32_t crossings = 0;      // threshold crossings already converted to flips
   };
+  static_assert(sizeof(VictimState) == 16);
+
+  // Epochs are stored in 32 bits. An epoch is at most now_ns /
+  // kRefreshWindowNs + 1, so below this bound (about 8.7 simulated years)
+  // the truncation is lossless; every entry point that takes a time checks
+  // it.
+  static constexpr uint64_t kMaxEpochNs = ((uint64_t{1} << 32) - 2) * kRefreshWindowNs;
+  static void CheckEpochRange(uint64_t now_ns) {
+    SILOZ_CHECK_LT(now_ns, kMaxEpochNs) << "32-bit refresh epochs would alias";
+  }
 
   // Auto-refresh: every row is refreshed once per 64 ms window, staggered by
   // its refresh bin. Returns the current epoch for the row at `now_ns`.
   // kRefreshBins is a power of two and kRefreshWindowNs a constant, so this
   // compiles to a mask, a multiply, and a reciprocal multiply.
-  uint64_t EpochFor(uint32_t internal_row, uint64_t now_ns) const {
+  uint32_t EpochFor(uint32_t internal_row, uint64_t now_ns) const {
     const uint64_t phase = (internal_row % kRefreshBins) * kRefreshIntervalNs;
-    return (now_ns + kRefreshWindowNs - phase) / kRefreshWindowNs;
+    return static_cast<uint32_t>((now_ns + kRefreshWindowNs - phase) / kRefreshWindowNs);
   }
 
   // Slab of `rows_per_subarray_` entries for (bank_key, side, subarray),
@@ -215,7 +226,7 @@ class DisturbanceModel {
                              FlipSink& sink);
   void DisturbVictim(uint32_t bank_key, HalfRowSide side, uint32_t victim_row,
                      VictimState& state, double amount, uint64_t now_ns, FlipSink& sink) {
-    const uint64_t epoch = EpochFor(victim_row, now_ns);
+    const uint32_t epoch = EpochFor(victim_row, now_ns);
     if (epoch != state.refresh_epoch) {
       // The row's periodic refresh fired since the last probe: charge
       // restored.
@@ -225,21 +236,28 @@ class DisturbanceModel {
     }
     state.disturbance += amount;
 
-    // 0.0 marks "not yet computed": real thresholds are strictly positive
-    // for any spread < 1, and an (astronomically unlikely) exact-0.0 draw
-    // merely recomputes the same value on each probe.
-    if (state.threshold == 0.0) [[unlikely]] {
-      state.threshold = ThresholdFor(bank_key, side, victim_row);
-    }
-    if (state.disturbance >= state.threshold * static_cast<double>(state.crossings + 1))
-        [[unlikely]] {
-      EmitFlips(victim_row, state, sink);
+    // min_threshold_ <= ThresholdFor(row) for every row, and rounding is
+    // monotone, so this gate never skips a probe the exact comparison below
+    // would flip on. Only rows past the profile's lowest threshold pay the
+    // hash.
+    const double next_crossing = static_cast<double>(state.crossings + 1);
+    if (state.disturbance >= min_threshold_ * next_crossing) [[unlikely]] {
+      const double threshold = ThresholdFor(bank_key, side, victim_row);
+      if (state.disturbance >= threshold * next_crossing) {
+        EmitFlips(victim_row, threshold, state, sink);
+      }
     }
   }
   // The threshold-crossing tail of a victim probe: converts crossings into
   // hash-positioned bit flips. Rare (thresholds are tens of thousands of
   // ACTs), so it stays out of line to keep DisturbVictim inlineable.
-  void EmitFlips(uint32_t victim_row, VictimState& state, FlipSink& sink);
+  void EmitFlips(uint32_t victim_row, double threshold, VictimState& state, FlipSink& sink);
+
+  // The threshold a row with uniform draw `u` in [0, 1) gets; ThresholdFor
+  // and min_threshold_ share this one expression.
+  double ThresholdAt(double u) const {
+    return profile_.threshold_mean * (1.0 + profile_.threshold_spread * (2.0 * u - 1.0));
+  }
 
   DisturbanceProfile profile_;
   uint32_t rows_per_bank_;
@@ -247,6 +265,9 @@ class DisturbanceModel {
   uint32_t subarrays_per_bank_;
   uint32_t half_row_bits_;
   FastDivider subarray_div_;  // row -> subarray index
+  // min(ThresholdAt(0), ThresholdAt(1)): ThresholdAt is monotone in u (each
+  // IEEE operation rounds monotonically), so no row's threshold is lower.
+  double min_threshold_;
   // slabs_[bank_key * 2 + side][subarray] -> slab (null until touched).
   // bank_key is open-ended (tests use synthetic keys), so the outer vector
   // grows on demand; the inner one is sized subarrays_per_bank_ on first use.

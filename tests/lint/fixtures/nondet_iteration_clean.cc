@@ -1,6 +1,8 @@
-// Fixture: order-safe uses of unordered containers — integer reduction
+// Fixture: order-safe uses of unordered containers — integer reductions
 // (commutative, order-invisible) and emission from a sorted copy. Zero
 // findings expected.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <unordered_map>
@@ -12,6 +14,17 @@ long CountEvents(const std::unordered_map<int, long>& totals_by_vm) {
     event_count += entry.second;
   }
   return event_count;
+}
+
+// The activation-profile window roll: an integer max is exact and
+// commutative, so the hash order cannot show in the result, unlike an
+// assignment of the element itself (see the violate fixture's TRR tracker).
+uint64_t MaxRowActs(const std::unordered_map<uint64_t, uint64_t>& acts_by_row) {
+  uint64_t max_row_acts = 0;
+  for (const auto& [row, count] : acts_by_row) {
+    max_row_acts = std::max(max_row_acts, count);
+  }
+  return max_row_acts;
 }
 
 void EmitSorted(const std::unordered_map<int, long>& totals_by_vm) {

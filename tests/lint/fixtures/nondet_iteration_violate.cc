@@ -1,7 +1,10 @@
-// Fixture: unordered iteration leaking hash order into emitted output and
-// a float accumulation. Both loops must be reported by nondet-iteration.
+// Fixture: unordered iteration leaking hash order into emitted output, a
+// float accumulation, and an element selection. Every loop over an
+// unordered container here must be reported by nondet-iteration.
+#include <cstdint>
 #include <cstdio>
 #include <unordered_map>
+#include <vector>
 
 void EmitPerVm(const std::unordered_map<int, long>& totals_by_vm) {
   for (const auto& entry : totals_by_vm) {
@@ -41,3 +44,35 @@ double FoldQueueTails(const std::unordered_map<int, double>& tail_by_queue) {
   }
   return queue_latency_sum;
 }
+
+// Anti-idiom for TRR target selection: the hash-map Misra-Gries tracker
+// picked the largest count with `best = it`, so among equal counts the row
+// the hash order visited first won. It emits nothing and sums no floats, yet
+// the chosen row decides which victims get refreshed. The flat tracker in
+// src/dram/trr.h states its tie-break rule instead.
+class HashTrrTracker {
+ public:
+  std::vector<uint32_t> SelectTargets() {
+    std::vector<uint32_t> targets;
+    for (uint32_t i = 0; i < targets_per_ref_; ++i) {
+      auto best = counts_.end();
+      for (auto it = counts_.begin(); it != counts_.end(); ++it) {
+        if (it->second >= act_threshold_ &&
+            (best == counts_.end() || it->second > best->second)) {
+          best = it;
+        }
+      }
+      if (best == counts_.end()) {
+        break;
+      }
+      targets.push_back(best->first);
+      best->second = 0;
+    }
+    return targets;
+  }
+
+ private:
+  std::unordered_map<uint32_t, uint64_t> counts_;
+  uint64_t act_threshold_ = 512;
+  uint32_t targets_per_ref_ = 1;
+};

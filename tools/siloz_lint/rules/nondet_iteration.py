@@ -5,17 +5,20 @@ The determinism contract (DESIGN.md §8/§9) promises bit-identical reports
 and model-domain metrics at any `--threads N` — and on any standard library.
 Iterating an `unordered_map`/`unordered_set` visits elements in a
 hash-seed- and libstdc++-version-dependent order, so a loop whose body
-*emits* (report rows, metric registration, trace spans, printf) or
-*accumulates floating point* (FP addition does not commute bitwise) leaks
-that order into contract-covered output.
+*emits* (report rows, metric registration, trace spans, printf),
+*accumulates floating point* (FP addition does not commute bitwise) or
+*selects an element* (`best = it`: ties go to whichever element the order
+visits first) leaks that order into contract-covered output.
 
 Detection: pass 1 indexes every identifier declared with an unordered
 container type (and every float/double variable) across the file set, so a
 .cc iterating a member declared in its header still matches. Pass 2 flags
 range-for loops over an indexed name — and iterator loops calling
 `name.begin()` in their init — whose body reaches a configured emission
-sink or a float accumulation. Loops that only mutate the container or feed
-an order-insensitive integer reduction are untouched.
+sink, a float accumulation, or an assignment of the loop's iterator or
+element to a variable declared before the loop. Loops that only mutate the
+container or feed an order-insensitive integer reduction (`m = std::max(m,
+count)`) are untouched.
 """
 
 from __future__ import annotations
@@ -88,7 +91,10 @@ class NondetIterationRule:
             if container is None:
                 continue
             body_start, body_end = self._body_range(tokens, close)
-            sink = self._body_sink(tokens, body_start, body_end, sinks, floats)
+            loop_vars = self._loop_vars(tokens, i + 1, close)
+            sink = self._body_sink(
+                tokens, body_start, body_end, sinks, floats, loop_vars
+            )
             if sink is None:
                 continue
             findings.append(
@@ -138,6 +144,34 @@ class NondetIterationRule:
         return None
 
     @staticmethod
+    def _loop_vars(tokens: List[Token], open_idx: int, close_idx: int) -> Set[str]:
+        """Names the loop header declares: a range-for's element (or its
+        structured bindings), or an iterator loop's `name = ...` init."""
+        end = close_idx
+        for j in range(open_idx + 1, close_idx):
+            if tokens[j].text in (":", ";"):
+                end = j
+                break
+        names: Set[str] = set()
+        in_binding = False
+        last_id = None
+        for j in range(open_idx + 1, end):
+            t = tokens[j]
+            if t.text == "[":
+                in_binding = True
+            elif t.text == "]":
+                in_binding = False
+            elif t.text == "=":
+                break
+            elif t.kind == "id":
+                last_id = t.text
+                if in_binding:
+                    names.add(t.text)
+        if last_id is not None:
+            names.add(last_id)
+        return names
+
+    @staticmethod
     def _body_range(tokens: List[Token], close_idx: int):
         j = close_idx + 1
         if j < len(tokens) and tokens[j].text == "{":
@@ -150,12 +184,27 @@ class NondetIterationRule:
 
     @staticmethod
     def _body_sink(
-        tokens: List[Token], start: int, end: int, sinks, floats
+        tokens: List[Token], start: int, end: int, sinks, floats, loop_vars
     ) -> Optional[str]:
         for j in range(start, min(end, len(tokens))):
             t = tokens[j]
             if t.kind == "id" and t.text in sinks:
                 return f"emission sink '{t.text}'"
+            # `best = it` at statement start: an outer variable keeps
+            # whichever element the iteration order offers last.
+            if (
+                t.text == "="
+                and j > start + 1
+                and j + 1 < end
+                and tokens[j - 1].kind == "id"
+                and tokens[j - 1].text not in loop_vars
+                and tokens[j - 2].text in (";", "{", "}", ")", "else")
+                and tokens[j + 1].text in loop_vars
+            ):
+                return (
+                    f"an order-dependent selection "
+                    f"'{tokens[j - 1].text} = {tokens[j + 1].text}'"
+                )
             if t.kind == "punct" and t.text in ("+=", "-="):
                 prev_f = j > 0 and tokens[j - 1].text in floats
                 nxt = tokens[j + 1] if j + 1 < len(tokens) else None
