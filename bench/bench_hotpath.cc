@@ -207,7 +207,7 @@ BenchResult BenchDeviceActRandom() {
   });
 }
 
-// Reads through SEC-DED ECC against the chunked row arena, with periodic
+// Reads through SEC-DED ECC against the sparse row store, with periodic
 // writes and injected flips so the correction paths run.
 BenchResult BenchReadEcc() {
   constexpr uint64_t kIters = 300'000;

@@ -39,16 +39,8 @@ DramDevice::DramDevice(const DramGeometry& geometry, RemapConfig remap_config,
   for (uint32_t i = 0; i < banks * 2; ++i) {
     trr_trackers_.emplace_back(trr_config_);
   }
-  row_slots_.resize(banks);
-  // Arena slot: data + flip mask + check bytes, rounded up to cache lines so
-  // slots never share a line.
-  slot_stride_ = (geometry_.row_bytes * 2 + geometry_.row_bytes / 8 + 63) & ~size_t{63};
-  // Geometry-derived reserves: the chunk-pointer vector can cover every row
-  // in the DIMM without regrowing (pointers only — the chunks themselves are
-  // lazy), and the flip log holds a blast-radius worth of flips per subarray
-  // before its first regrowth. Both kill mid-soak reallocation storms.
-  const uint64_t max_slots = static_cast<uint64_t>(banks) * geometry_.rows_per_bank;
-  arena_.reserve((max_slots + kArenaRowsPerChunk - 1) / kArenaRowsPerChunk);
+  // The flip log holds a blast-radius worth of flips per subarray before
+  // its first regrowth, which kills mid-soak reallocation storms.
   flip_log_.reserve(static_cast<size_t>(BlastRadiusRows(disturbance_profile)) * 2 *
                     geometry_.rows_per_subarray);
   flip_scratch_.Reserve(64);
@@ -86,37 +78,22 @@ TrrTracker& DramDevice::Tracker(uint32_t rank, uint32_t bank, HalfRowSide side) 
   return trr_trackers_[BankKey(rank, bank) * 2 + static_cast<uint32_t>(side)];
 }
 
-DramDevice::RowRef DramDevice::RowAt(uint32_t slot) const {
-  uint8_t* base =
-      arena_[slot / kArenaRowsPerChunk].get() + (slot % kArenaRowsPerChunk) * slot_stride_;
+DramDevice::RowRef DramDevice::RowAt(uint8_t* buffer) const {
   return RowRef{
-      .data = base,
-      .flip_mask = base + geometry_.row_bytes,
-      .check = base + geometry_.row_bytes * 2,
+      .data = buffer,
+      .flip_mask = buffer + geometry_.row_bytes,
+      .check = buffer + geometry_.row_bytes * 2,
   };
 }
 
-uint32_t DramDevice::FindRowSlot(uint32_t rank, uint32_t bank, uint32_t media_row) const {
-  const std::vector<uint32_t>& slots = row_slots_[BankKey(rank, bank)];
-  return slots.empty() ? kNoSlot : slots[media_row];
-}
-
 DramDevice::RowRef DramDevice::GetOrCreateRow(uint32_t rank, uint32_t bank, uint32_t media_row) {
-  std::vector<uint32_t>& slots = row_slots_[BankKey(rank, bank)];
-  if (slots.empty()) {
-    slots.assign(geometry_.rows_per_bank, kNoSlot);
+  std::unique_ptr<uint8_t[]>& buffer = rows_[RowKey(rank, bank, media_row)];
+  if (buffer == nullptr) {
+    // make_unique value-initializes: the row is born all-zero, which is the
+    // canonical never-written row (zero data, zero check, zero mask).
+    buffer = std::make_unique<uint8_t[]>(geometry_.row_bytes * 2 + geometry_.row_bytes / 8);
   }
-  uint32_t slot = slots[media_row];
-  if (slot == kNoSlot) {
-    if (slots_used_ % kArenaRowsPerChunk == 0) {
-      // make_unique value-initializes: the chunk is born all-zero, which is
-      // the canonical never-written row (zero data, zero check, zero mask).
-      arena_.push_back(std::make_unique<uint8_t[]>(kArenaRowsPerChunk * slot_stride_));
-    }
-    slot = slots_used_++;
-    slots[media_row] = slot;
-  }
-  return RowAt(slot);
+  return RowAt(buffer.get());
 }
 
 void DramDevice::AdvanceTo(uint64_t now_ns) {
@@ -303,6 +280,9 @@ void DramDevice::Write(uint32_t rank, uint32_t bank, uint32_t media_row, uint32_
   SILOZ_CHECK_LE(column + data.size(), geometry_.row_bytes);
   Activate(rank, bank, media_row, now_ns);
   ++counters_.writes;
+  if (data.empty()) {
+    return;  // an empty span touches no word
+  }
   RowRef row = GetOrCreateRow(rank, bank, media_row);
   std::memcpy(row.data + column, data.data(), data.size());
   // Writes overwrite any latent flips in the touched bytes...
@@ -325,12 +305,15 @@ ReadResult DramDevice::Read(uint32_t rank, uint32_t bank, uint32_t media_row, ui
   Activate(rank, bank, media_row, now_ns);
   ++counters_.reads;
   ReadResult result;
-  const uint32_t slot = FindRowSlot(rank, bank, media_row);
-  if (slot == kNoSlot) {
+  if (out.empty()) {
+    return result;  // an empty span touches no word
+  }
+  const auto stored = rows_.find(RowKey(rank, bank, media_row));
+  if (stored == rows_.end()) {
     std::memset(out.data(), 0, out.size());  // never-written rows read as zero
     return result;
   }
-  RowRef row = RowAt(slot);
+  RowRef row = RowAt(stored->second.get());
   const size_t first_word = column / 8;
   const size_t last_word = (column + out.size() - 1) / 8;
   for (size_t w = first_word; w <= last_word; ++w) {
@@ -379,37 +362,24 @@ ReadResult DramDevice::Read(uint32_t rank, uint32_t bank, uint32_t media_row, ui
 
 uint64_t DramDevice::PatrolScrub(uint64_t now_ns) {
   AdvanceTo(now_ns);
-  // Sorted (rank, bank, row) order: BankKey ascends rank-major, and each
-  // bank's slot index ascends by media row. The scrub's corrections (and any
-  // future logging from here) are therefore independent of insertion order —
-  // unlike the old unordered_map walk, whose iteration order was a latent
-  // portability hazard for the golden tests.
+  // rows_ iterates in (rank, bank, row) order, so the scrub's corrections do
+  // not depend on the order rows were first stored.
   const size_t words_per_row = geometry_.row_bytes / 8;
   uint64_t corrected = 0;
-  for (const std::vector<uint32_t>& slots : row_slots_) {
-    if (slots.empty()) {
-      continue;
-    }
-    for (uint32_t media_row = 0; media_row < slots.size(); ++media_row) {
-      const uint32_t slot = slots[media_row];
-      if (slot == kNoSlot) {
+  for (const auto& [key, buffer] : rows_) {
+    RowRef row = RowAt(buffer.get());
+    for (size_t w = 0; w < words_per_row; ++w) {
+      const uint64_t mask = LoadWord(row.flip_mask, w);
+      if (mask == 0) {
         continue;
       }
-      RowRef row = RowAt(slot);
-      for (size_t w = 0; w < words_per_row; ++w) {
-        const uint64_t mask = LoadWord(row.flip_mask, w);
-        if (mask == 0) {
-          continue;
-        }
-        const uint64_t raw = LoadWord(row.data, w);
-        EccDecodeResult decoded = EccDecode(raw, row.check[w]);
-        if (decoded.outcome == EccOutcome::kCorrected &&
-            decoded.data == (raw ^ mask)) {
-          StoreWord(row.data, w, decoded.data);
-          StoreWord(row.flip_mask, w, 0);
-          ++corrected;
-          ++counters_.corrected_words;
-        }
+      const uint64_t raw = LoadWord(row.data, w);
+      EccDecodeResult decoded = EccDecode(raw, row.check[w]);
+      if (decoded.outcome == EccOutcome::kCorrected && decoded.data == (raw ^ mask)) {
+        StoreWord(row.data, w, decoded.data);
+        StoreWord(row.flip_mask, w, 0);
+        ++corrected;
+        ++counters_.corrected_words;
       }
     }
   }

@@ -17,6 +17,7 @@
 #define SILOZ_SRC_DRAM_DEVICE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -92,13 +93,14 @@ class DramDevice {
   // Close any open row in (rank, bank).
   void Precharge(uint32_t rank, uint32_t bank, uint64_t now_ns);
 
-  // Write bytes at (media_row, column). Activates the row if not open.
+  // Write bytes at (media_row, column). Activates the row if not open. An
+  // empty span counts as a write but touches no word.
   void Write(uint32_t rank, uint32_t bank, uint32_t media_row, uint32_t column,
              std::span<const uint8_t> data, uint64_t now_ns);
 
   // Read bytes through ECC. Single-bit errors are corrected in place (as a
   // scrubbing controller would); double-bit errors leave data as-is and
-  // report kUncorrectable.
+  // report kUncorrectable. A row never stored reads as zero.
   ReadResult Read(uint32_t rank, uint32_t bank, uint32_t media_row, uint32_t column,
                   std::span<uint8_t> out, uint64_t now_ns);
 
@@ -106,9 +108,9 @@ class DramDevice {
   // handled lazily by the fault model; TRR victim refreshes happen here).
   void AdvanceTo(uint64_t now_ns);
 
-  // Walk all stored rows through ECC, correcting single-bit errors — the
-  // patrol scrub the paper relies on to surface undetected flips (§7.1).
-  // Returns the number of corrected words.
+  // Walk all stored rows through ECC in (rank, bank, row) order, correcting
+  // single-bit errors — the patrol scrub the paper relies on to surface
+  // undetected flips (§7.1). Returns the number of corrected words.
   uint64_t PatrolScrub(uint64_t now_ns);
 
   // Force a bit flip (tests; EPT-corruption experiments).
@@ -128,12 +130,8 @@ class DramDevice {
   const std::string& name() const { return name_; }
 
  private:
-  // Stored rows live in a chunked arena: per-bank slot index + one backing
-  // allocation per kArenaRowsPerChunk rows, each slot holding the row's data
-  // bytes, flip-mask bytes, and ECC check bytes contiguously. Chunks are
-  // never reallocated, so RowRef pointers stay stable for the device's
-  // lifetime; value-initialized chunks are all-zero, which is exactly the
-  // never-written row state (EccEncode(0) == 0).
+  // A stored row's buffer holds its data bytes, flip-mask bytes, and ECC
+  // check bytes contiguously.
   struct RowRef {
     uint8_t* data = nullptr;       // geometry_.row_bytes
     uint8_t* flip_mask = nullptr;  // geometry_.row_bytes
@@ -143,15 +141,15 @@ class DramDevice {
     int64_t open_row = -1;  // media row, -1 = precharged
     uint64_t open_since_ns = 0;
   };
-  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
-  static constexpr uint32_t kArenaRowsPerChunk = 64;
 
   uint32_t BankKey(uint32_t rank, uint32_t bank) const {
     return rank * geometry_.banks_per_rank + bank;
   }
-  RowRef RowAt(uint32_t slot) const;
-  // kNoSlot if (rank, bank, media_row) was never stored.
-  uint32_t FindRowSlot(uint32_t rank, uint32_t bank, uint32_t media_row) const;
+  // Orders rows by (rank, bank, media row).
+  uint64_t RowKey(uint32_t rank, uint32_t bank, uint32_t media_row) const {
+    return (static_cast<uint64_t>(BankKey(rank, bank)) << 32) | media_row;
+  }
+  RowRef RowAt(uint8_t* buffer) const;
   RowRef GetOrCreateRow(uint32_t rank, uint32_t bank, uint32_t media_row);
 
   // Map internal-space flips back to media coordinates and apply them.
@@ -175,12 +173,12 @@ class DramDevice {
   // Zero means a REF tick has no TRR work anywhere on the device, letting
   // AdvanceTo() take whole idle windows in O(1).
   uint32_t trr_armed_ = 0;
-  // row_slots_[BankKey][media_row] -> arena slot; the per-bank index is
-  // sized rows_per_bank on the bank's first stored row.
-  std::vector<std::vector<uint32_t>> row_slots_;
-  size_t slot_stride_ = 0;  // bytes per arena slot, cache-line aligned
-  std::vector<std::unique_ptr<uint8_t[]>> arena_;
-  uint32_t slots_used_ = 0;
+  // Stored rows by RowKey, so iteration is in (rank, bank, row) order. Only
+  // rows that were written or flipped are here; each buffer is allocated
+  // zeroed on the row's first store, which is exactly the never-written row
+  // state (EccEncode(0) == 0). Map nodes and buffers never move, so a RowRef
+  // stays valid for the device's lifetime.
+  std::map<uint64_t, std::unique_ptr<uint8_t[]>> rows_;
   FlipSink flip_scratch_;  // reused across ACT/row-open deliveries
   std::vector<FlipRecord> flip_log_;
   DeviceCounters counters_;

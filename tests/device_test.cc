@@ -2,8 +2,12 @@
 // TRR interplay, RowPress, patrol scrub.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <numeric>
+#include <random>
+#include <tuple>
+#include <vector>
 
 #include "src/base/units.h"
 #include "src/dram/device.h"
@@ -59,6 +63,58 @@ TEST(DeviceTest, UnwrittenRowsReadZero) {
   for (uint8_t byte : out) {
     EXPECT_EQ(byte, 0);
   }
+}
+
+TEST(DeviceTest, NeverStoredRowInStoredBankReadsZero) {
+  DramDevice device = MakeDevice();
+  std::array<uint8_t, 64> data;
+  data.fill(0x5A);
+  device.Write(1, 2, 100, 0, data, 1000);
+  device.Write(1, 2, 102, 0, data, 1100);
+  device.InjectFlip(1, 2, 102, 0, 0, 1200);
+  std::array<uint8_t, 64> out;
+  out.fill(0xAB);
+  const ReadResult result = device.Read(1, 2, 101, 0, out, 2000);
+  EXPECT_EQ(result.outcome, EccOutcome::kClean);
+  for (uint8_t byte : out) {
+    EXPECT_EQ(byte, 0);
+  }
+}
+
+// A zero-byte read of a stored row at column 0 used to compute its last
+// word as (0 + 0 - 1) / 8 and walk off the row.
+TEST(DeviceTest, EmptyReadOfStoredRowTouchesNoWord) {
+  DramDevice device = MakeDevice();
+  std::array<uint8_t, 8> data{1, 2, 3, 4, 5, 6, 7, 8};
+  device.Write(0, 0, 40, 0, data, 1000);
+  device.InjectFlip(0, 0, 40, 3, 1, 1100);
+  const ReadResult empty = device.Read(0, 0, 40, 0, std::span<uint8_t>(), 2000);
+  EXPECT_EQ(empty.outcome, EccOutcome::kClean);
+  EXPECT_EQ(empty.corrected_words, 0u);
+  EXPECT_EQ(device.counters().reads, 1u);
+  // The latent flip is still there for the next real read to correct.
+  std::array<uint8_t, 8> out{};
+  const ReadResult result = device.Read(0, 0, 40, 0, out, 3000);
+  EXPECT_EQ(result.outcome, EccOutcome::kCorrected);
+  EXPECT_EQ(out, data);
+}
+
+// A zero-byte write at a column that is not a multiple of 8 used to
+// re-encode the word holding the column and clear its flip mask, so a
+// latent flip became permanent data with no correction reported.
+TEST(DeviceTest, EmptyWriteKeepsLatentFlip) {
+  DramDevice device = MakeDevice();
+  std::array<uint8_t, 16> data;
+  data.fill(10);
+  device.Write(0, 0, 41, 0, data, 1000);
+  device.InjectFlip(0, 0, 41, /*byte_in_row=*/9, /*bit_in_byte=*/0, 1100);
+  device.Write(0, 0, 41, /*column=*/12, std::span<const uint8_t>(), 2000);
+  EXPECT_EQ(device.counters().writes, 2u);
+  std::array<uint8_t, 16> out{};
+  const ReadResult result = device.Read(0, 0, 41, 0, out, 3000);
+  EXPECT_EQ(result.outcome, EccOutcome::kCorrected);
+  EXPECT_EQ(result.corrected_words, 1u);
+  EXPECT_EQ(out, data);
 }
 
 TEST(DeviceTest, SingleInjectedFlipIsCorrected) {
@@ -234,6 +290,63 @@ TEST(DeviceTest, PatrolScrubRepairsSingleBitFlips) {
   EXPECT_EQ(out, data);
   EXPECT_EQ(device.Read(0, 0, 70, 64, out, 5000).outcome, EccOutcome::kClean);
   EXPECT_EQ(out, data);
+}
+
+// The scrub walks rows in (rank, bank, row) order whatever order they were
+// stored in: rows stored in shuffled order scrub to the same corrections
+// and the same bytes as rows stored in order.
+TEST(DeviceTest, PatrolScrubIsIndependentOfStoreOrder) {
+  using Row = std::tuple<uint32_t, uint32_t, uint32_t>;  // rank, bank, media row
+  std::vector<Row> rows;
+  for (uint32_t rank = 0; rank < 2; ++rank) {
+    for (uint32_t bank = 0; bank < 4; ++bank) {
+      for (uint32_t media_row : {3u, 700u, 701u, 5000u}) {
+        rows.emplace_back(rank, bank, media_row);
+      }
+    }
+  }
+  std::vector<Row> shuffled = rows;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
+  ASSERT_NE(shuffled, rows);
+
+  // Per row: word 0 gets one flip (the scrub repairs it), word 1 two
+  // (uncorrectable), word 2 three (miscorrected on read, left by the scrub).
+  const auto store = [](DramDevice& device, const std::vector<Row>& order) {
+    uint64_t now = 1000;
+    for (const auto& [rank, bank, media_row] : order) {
+      std::array<uint8_t, 32> data;
+      std::iota(data.begin(), data.end(), static_cast<uint8_t>(media_row + bank));
+      device.Write(rank, bank, media_row, 0, data, now += 100);
+      device.InjectFlip(rank, bank, media_row, 2, 1, now);
+      device.InjectFlip(rank, bank, media_row, 8, 0, now);
+      device.InjectFlip(rank, bank, media_row, 12, 6, now);
+      for (uint32_t byte : {16u, 19u, 23u}) {
+        device.InjectFlip(rank, bank, media_row, byte, 4, now);
+      }
+    }
+  };
+  DramDevice in_order = MakeDevice();
+  DramDevice out_of_order = MakeDevice();
+  store(in_order, rows);
+  store(out_of_order, shuffled);
+
+  constexpr uint64_t kScrubNs = 1'000'000;
+  EXPECT_EQ(in_order.PatrolScrub(kScrubNs), rows.size());
+  EXPECT_EQ(out_of_order.PatrolScrub(kScrubNs), rows.size());
+  EXPECT_EQ(in_order.counters().corrected_words, out_of_order.counters().corrected_words);
+  EXPECT_EQ(in_order.counters().bit_flips, out_of_order.counters().bit_flips);
+  uint64_t now = kScrubNs;
+  for (const auto& [rank, bank, media_row] : rows) {
+    std::array<uint8_t, 32> expected{};
+    std::array<uint8_t, 32> actual{};
+    const ReadResult a = in_order.Read(rank, bank, media_row, 0, expected, now += 100);
+    const ReadResult b = out_of_order.Read(rank, bank, media_row, 0, actual, now);
+    EXPECT_EQ(actual, expected) << rank << "/" << bank << "/" << media_row;
+    EXPECT_EQ(a.outcome, EccOutcome::kUncorrectable);
+    EXPECT_EQ(b.outcome, a.outcome);
+    EXPECT_EQ(b.corrected_words, a.corrected_words);
+    EXPECT_EQ(b.uncorrectable_words, a.uncorrectable_words);
+  }
 }
 
 TEST(DeviceTest, CountersTrackOperations) {
