@@ -213,9 +213,8 @@ int siloz::bench::Figure(FlagSet& flags, int argc, char** argv) {
   std::string platform;  // empty = the Table 2 Skylake server
   obs::ExportFiles exports;
   flags.Add("--threads", &base.threads,
-            "grid workers (0 = auto: $SILOZ_THREADS,\n"
-            "else hardware concurrency); tables are\n"
-            "identical for every N");
+            "grid workers (0 = hardware concurrency);\n"
+            "tables are identical for every N");
   flags.Add("--channels-per-shard", &base.channels_per_shard,
             "channels per command-queue shard (model knob)", {.min = 1});
   flags.Add("--bank-groups-per-queue", &base.bank_groups_per_queue,

@@ -17,8 +17,7 @@
 //
 // Every command additionally accepts --metrics-out FILE and --trace-out FILE
 // (observability exports; written after the command completes, never mixed
-// into stdout). --threads 0 (the default) auto-detects: $SILOZ_THREADS if
-// set, else the hardware concurrency.
+// into stdout). --threads 0 (the default) uses the hardware concurrency.
 #include <algorithm>
 #include <cstdio>
 #include <iterator>

@@ -59,9 +59,9 @@ struct Options {
   // Findings retained per invariant; further violations are only counted.
   size_t max_findings_per_invariant = 16;
   // Worker threads for the blast-radius scan (the ~4.2M-probe pass): 0 =
-  // $SILOZ_THREADS or hardware concurrency, 1 = serial scan. The scan is
-  // sharded by subarray group and shard reports merge in slice order, so
-  // findings, counters, and report bytes are identical for every value.
+  // hardware concurrency, 1 = serial scan. The scan is sharded by subarray
+  // group and shard reports merge in slice order, so findings, counters,
+  // and report bytes are identical for every value.
   uint32_t threads = 0;
 };
 

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <limits>
 #include <thread>
 #include <vector>
 
-#include "src/base/flags.h"
 #include "src/obs/metrics.h"
 
 namespace siloz {
@@ -15,12 +12,6 @@ namespace siloz {
 uint32_t ResolveThreads(uint32_t requested) {
   if (requested > 0) {
     return requested;
-  }
-  if (const char* env = std::getenv("SILOZ_THREADS"); env != nullptr) {
-    const Result<uint64_t> value = ParseUnsigned(env, 1, std::numeric_limits<uint32_t>::max());
-    if (value.ok()) {
-      return static_cast<uint32_t>(*value);
-    }
   }
   return std::max(1u, std::thread::hardware_concurrency());
 }

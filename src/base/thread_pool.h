@@ -30,10 +30,8 @@ struct PoolMetrics {
   uint64_t steals = 0;   // always 0; kept for perfbench's sim.grid_steal_frac
 };
 
-// Resolves a `--threads N` style knob: N > 0 is taken literally; 0 falls
-// back to $SILOZ_THREADS when it is a whole positive integer (parsed as
-// strictly as a flag: "4x" does not mean 4), else the hardware concurrency
-// (minimum 1).
+// Resolves a `--threads N` style knob: N > 0 is taken literally; 0 is the
+// hardware concurrency (minimum 1).
 uint32_t ResolveThreads(uint32_t requested);
 
 // Runs fn(i) for every i in [0, count) on min(ResolveThreads(threads), count)

@@ -1,6 +1,6 @@
 #include "src/hostmem/numa.h"
 
-#include <sstream>
+#include <string>
 
 #include "src/base/check.h"
 
@@ -15,14 +15,6 @@ NumaNode::NumaNode(uint32_t id, NodeKind kind, uint32_t physical_socket, uint32_
       has_cpus_(has_cpus),
       ranges_(std::move(ranges)),
       allocator_(ranges_) {}
-
-std::string NumaNode::ToString() const {
-  std::ostringstream out;
-  out << "node" << id_ << " (" << NodeKindName(kind_) << ", socket " << physical_socket_
-      << (has_cpus_ ? ", cpus" : ", memory-only") << ", "
-      << (allocator_.total_bytes() >> 20) << " MiB)";
-  return out.str();
-}
 
 NumaNode& NodeRegistry::AddNode(NodeKind kind, uint32_t physical_socket, uint32_t first_group,
                                 std::vector<PhysRange> ranges, bool has_cpus) {
@@ -66,17 +58,6 @@ std::vector<const NumaNode*> NodeRegistry::AllNodes() const {
     result.push_back(node.get());
   }
   return result;
-}
-
-uint64_t NodeRegistry::StatSweepNodeCount(bool siloz_skip_static_nodes) const {
-  uint64_t count = 0;
-  for (const auto& node : nodes_) {
-    if (siloz_skip_static_nodes && node->kind() == NodeKind::kGuestReserved) {
-      continue;  // §5.3: guest-reserved free stats are static after VM boot
-    }
-    ++count;
-  }
-  return count;
 }
 
 }  // namespace siloz

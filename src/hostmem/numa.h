@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/addr/subarray_group.h"
@@ -24,10 +23,6 @@ enum class NodeKind : uint8_t {
   kHostReserved,   // usable by the host; owns the socket's cores
   kGuestReserved,  // memory-only; usable by exactly one VM (§5.1)
 };
-
-inline const char* NodeKindName(NodeKind kind) {
-  return kind == NodeKind::kHostReserved ? "host-reserved" : "guest-reserved";
-}
 
 // One NUMA node. Logical nodes correspond to one or more subarray groups;
 // on an unmodified baseline kernel there is a single node per socket
@@ -47,8 +42,6 @@ class NumaNode {
 
   BuddyAllocator& allocator() { return allocator_; }
   const BuddyAllocator& allocator() const { return allocator_; }
-
-  std::string ToString() const;
 
  private:
   uint32_t id_;
@@ -73,11 +66,6 @@ class NodeRegistry {
   std::vector<NumaNode*> NodesOnSocket(uint32_t socket);
   // Read-only view of every node, for introspection (e.g. the static audit).
   std::vector<const NumaNode*> AllNodes() const;
-
-  // Models the periodic kernel work that scales with node count (vmstat
-  // updates, zone iteration): returns the number of nodes a sweep touches.
-  // Siloz skips guest-reserved nodes whose stats cannot change (§5.3).
-  uint64_t StatSweepNodeCount(bool siloz_skip_static_nodes) const;
 
  private:
   std::vector<std::unique_ptr<NumaNode>> nodes_;

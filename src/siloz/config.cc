@@ -2,18 +2,6 @@
 
 namespace siloz {
 
-const char* EptProtectionName(EptProtection protection) {
-  switch (protection) {
-    case EptProtection::kNone:
-      return "none";
-    case EptProtection::kGuardRows:
-      return "guard-rows";
-    case EptProtection::kSecureEpt:
-      return "secure-ept";
-  }
-  return "?";
-}
-
 bool IsUnmediated(MemoryType type) {
   switch (type) {
     case MemoryType::kGuestRam:

@@ -18,8 +18,6 @@ enum class EptProtection : uint8_t {
   kSecureEpt,  // TDX/SNP-style hardware integrity checks (detect, not prevent)
 };
 
-const char* EptProtectionName(EptProtection protection);
-
 struct SilozConfig {
   // false = unmodified Linux/KVM baseline: one node per socket, no subarray
   // awareness, EPTs in ordinary memory.

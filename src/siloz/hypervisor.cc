@@ -5,7 +5,6 @@
 #include "src/base/bitops.h"
 #include "src/base/check.h"
 #include "src/base/fault_injector.h"
-#include "src/base/log.h"
 #include "src/base/transaction.h"
 #include "src/base/units.h"
 #include "src/dram/remap.h"
@@ -102,8 +101,6 @@ Status SilozHypervisor::Boot() {
       effective_rows_per_subarray_ =
           static_cast<uint32_t>(NextPowerOfTwo(effective_rows_per_subarray_));
       using_artificial_groups_ = true;
-      SILOZ_LOG(kInfo) << "artificial subarray groups: " << config_.rows_per_subarray
-                       << " rows rounded to " << effective_rows_per_subarray_;
     }
   }
 
@@ -186,8 +183,6 @@ Status SilozHypervisor::QuarantineRepairedRows() {
     SILOZ_RETURN_IF_ERROR((*node)->allocator().OfflinePage(page));
     quarantined_bytes_ += kPage4K;
   }
-  SILOZ_LOG(kInfo) << "quarantined " << config_.quarantined_rows.size() << " repaired row(s): "
-                   << pages.size() << " pages offlined";
   return Status::Ok();
 }
 
@@ -771,11 +766,8 @@ Result<VmId> SilozHypervisor::CreateVmLocked(const VmConfig& vm_config) {
   // --- Commit: everything reserved; publish and disarm the rollback ---
   txn.Commit();
   vm_backing_[id] = std::move(placement->backing);
-  Vm* raw = vm.get();
   vms_[id] = std::move(vm);
   ++obs_counts_.vms_created;
-  SILOZ_LOG(kInfo) << "created VM " << raw->config().name << " (" << id << ") with "
-                   << raw->guest_nodes().size() << " guest node(s)";
   return id;
 }
 
@@ -976,8 +968,6 @@ Status SilozHypervisor::MigrateVmLocked(VmId id, uint32_t target_socket) {
   // The committed placement must still prove isolation on the target groups
   // before the caller trusts it.
   SILOZ_RETURN_IF_ERROR(AuditVmIsolationLocked(id));
-  SILOZ_LOG(kInfo) << "migrated VM " << vm.config().name << " (" << id << ") socket "
-                   << source_socket << " -> " << target_socket;
   return Status::Ok();
 }
 

@@ -119,13 +119,11 @@ Result<std::vector<std::vector<TenantResult>>> RunColocatedSweep(
   using ScenarioResult = Result<std::vector<TenantResult>>;
   std::vector<ScenarioResult> runs(scenarios.size(), ScenarioResult(std::vector<TenantResult>{}));
   PhaseTimer timer("colocated");
-  ProgressMeter progress("colocated", scenarios.size());
   const PoolMetrics pool = ParallelFor(threads, scenarios.size(), [&](uint64_t i) {
     // Each scenario boots a private machine + hypervisor inside RunColocated,
     // so tasks share no mutable state; results depend only on the scenario,
     // never on scheduling.
     runs[i] = RunColocated(scenarios[i].config, scenarios[i].tenants);
-    progress.Tick();
   });
   if (metrics != nullptr) {
     *metrics = timer.Finish(pool);

@@ -376,7 +376,6 @@ Result<std::vector<RunMeasurement>> RunWorkloadGrid(const std::vector<GridPoint>
   PoolMetrics pool_metrics;
   {
     obs::TraceSpan span("grid");
-    ProgressMeter progress("grid", tasks.size());
     pool_metrics = ParallelFor(threads, tasks.size(), [&](uint64_t t) {
       const FlatTask task = tasks[t];
       const GridPoint& point = points[task.point];
@@ -390,7 +389,6 @@ Result<std::vector<RunMeasurement>> RunWorkloadGrid(const std::vector<GridPoint>
                                  point_platform[task.point]->machine.decoder(),
                                  *point_platform[task.point]->vm);
       }
-      progress.Tick();
     });
   }
   if (metrics != nullptr) {

@@ -44,8 +44,8 @@ struct RunnerConfig {
   DdrTimings timings;
   uint32_t trials = 5;
   uint64_t seed = 42;
-  // Worker threads for the trial loop: 0 = $SILOZ_THREADS or hardware
-  // concurrency, 1 = inline on the caller. Any value yields identical results.
+  // Worker threads for the trial loop: 0 = hardware concurrency, 1 = inline
+  // on the caller. Any value yields identical results.
   uint32_t threads = 0;
   // Channel sharding of the engine (DESIGN.md §13): each block of N >= 1
   // channels is an independent command-queue shard and — in fault mode — its

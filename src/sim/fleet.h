@@ -75,7 +75,7 @@ struct FleetConfig {
   DramGeometry geometry = FleetGeometry();
   AdmissionPolicy policy = AdmissionPolicy::kDefrag;
   uint64_t seed = 42;
-  // Trace-synthesis workers (0 = $SILOZ_THREADS or hardware concurrency);
+  // Trace-synthesis workers (0 = hardware concurrency);
   // the replay itself is serial. Model outputs are identical for every value.
   uint32_t threads = 0;
 

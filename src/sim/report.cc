@@ -12,44 +12,6 @@
 
 namespace siloz {
 
-ProgressMeter::ProgressMeter(std::string phase, uint64_t total)
-    : phase_(std::move(phase)),
-      total_(total),
-      enabled_(total > 0 && std::getenv("SILOZ_PROGRESS") != nullptr) {}
-
-ProgressMeter::~ProgressMeter() {
-  MutexLock lock(mutex_);
-  if (enabled_ && last_rendered_pct_ >= 0) {
-    std::fputc('\n', stderr);
-  }
-}
-
-void ProgressMeter::Tick(uint64_t completed_delta) {
-  MutexLock lock(mutex_);
-  completed_ += completed_delta;
-  if (enabled_) {
-    RenderLocked();
-  }
-}
-
-uint64_t ProgressMeter::completed() const {
-  MutexLock lock(mutex_);
-  return completed_;
-}
-
-void ProgressMeter::RenderLocked() {
-  const uint64_t capped = completed_ < total_ ? completed_ : total_;
-  const int pct = static_cast<int>(capped * 100 / total_);
-  if (pct == last_rendered_pct_) {
-    return;
-  }
-  last_rendered_pct_ = pct;
-  std::fprintf(stderr, "\r%s: %llu/%llu (%d%%)", phase_.c_str(),
-               static_cast<unsigned long long>(capped),
-               static_cast<unsigned long long>(total_), pct);
-  std::fflush(stderr);
-}
-
 std::string PoolPhaseMetrics::ToText() const {
   char line[192];
   std::snprintf(line, sizeof(line),

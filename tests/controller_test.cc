@@ -1,6 +1,8 @@
-// Tests for the memory controller timing model (src/memctl).
+// Tests for the memory controller timing model (src/memctl), including its
+// refresh-overhead model (§2.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/addr/decoder.h"
@@ -183,6 +185,56 @@ TEST(EngineTest, StatsAccumulate) {
   EXPECT_EQ(c1.stats().requests, 1u);
   c0.ResetStats();
   EXPECT_EQ(c0.stats().requests, 0u);
+}
+
+// --- Refresh overhead model ---
+
+TEST(RefreshModelTest, StealsExpectedBandwidthFraction) {
+  const DramGeometry geometry;
+  SkylakeDecoder decoder(geometry);
+  auto bandwidth = [&](bool model_refresh) {
+    DdrTimings timings;
+    timings.model_refresh = model_refresh;
+    MemoryController c0(geometry, 0, timings);
+    MemoryController c1(geometry, 1, timings);
+    MemoryController* controllers[] = {&c0, &c1};
+    std::vector<MemRequest> stream;
+    for (int i = 0; i < 40000; ++i) {
+      MemRequest request;
+      request.address = *decoder.PhysToMedia(static_cast<uint64_t>(i) * 64);
+      stream.push_back(request);
+    }
+    EngineConfig config;
+    config.max_outstanding = 64;
+    return RunClosedLoop(stream, controllers, config).bandwidth_gib_per_s();
+  };
+  const double with_refresh = bandwidth(true);
+  const double without_refresh = bandwidth(false);
+  const double stolen = 1.0 - with_refresh / without_refresh;
+  // tRFC / tREFI = 350/7800 ~ 4.5%; staggering and overlap soften it.
+  EXPECT_GT(stolen, 0.005);
+  EXPECT_LT(stolen, 0.08);
+}
+
+TEST(RefreshModelTest, SomeRequestsSeeRefreshTail) {
+  // A latency-bound stream must occasionally catch the rank mid-REF and
+  // wait up to tRFC extra.
+  const DramGeometry geometry;
+  SkylakeDecoder decoder(geometry);
+  MemoryController controller(geometry, 0);
+  double cursor = 0.0;
+  double max_latency = 0.0;
+  double min_latency = 1e18;
+  for (int i = 0; i < 3000; ++i) {
+    MemRequest request;
+    request.address = *decoder.PhysToMedia(static_cast<uint64_t>(i) * 64 * 193);
+    const double done = controller.Serve(request, cursor);
+    max_latency = std::max(max_latency, done - cursor);
+    min_latency = std::min(min_latency, done - cursor);
+    cursor = done;
+  }
+  EXPECT_GT(max_latency, min_latency + 100.0) << "expected a refresh-induced tail";
+  EXPECT_LT(max_latency, min_latency + controller.timings().t_rfc + 50.0);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@ namespace {
 TEST(FleetSoak, TenThousandVmChurnSustainsThousandsAndDrainsClean) {
   FleetConfig config;
   config.policy = AdmissionPolicy::kDefrag;
-  config.threads = 0;              // auto: $SILOZ_THREADS or hardware
+  config.threads = 0;              // auto: hardware concurrency
   config.duration_s = 400.0;
   config.arrivals_per_s = 25.0;    // ~10k arrivals
   config.min_lifetime_s = 60.0;

@@ -361,13 +361,5 @@ TEST_F(HypervisorTest, CreateVmValidatesArguments) {
   EXPECT_FALSE(hypervisor.CreateVm({.name = "z", .memory_bytes = 2_MiB, .socket = 9}).ok());
 }
 
-TEST_F(HypervisorTest, StatSweepOptimization) {
-  auto hypervisor_owner = MakeBooted();
-  SilozHypervisor& hypervisor = *hypervisor_owner;
-  // Siloz manages 254 nodes but periodic sweeps touch only the 2 host nodes.
-  EXPECT_EQ(hypervisor.nodes().StatSweepNodeCount(false), 254u);
-  EXPECT_EQ(hypervisor.nodes().StatSweepNodeCount(true), 2u);
-}
-
 }  // namespace
 }  // namespace siloz

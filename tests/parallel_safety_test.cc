@@ -1,7 +1,7 @@
 // Thread-safety battery for the parallel phases — the targets of the CI
 // ThreadSanitizer job (SILOZ_SANITIZE=thread). These tests are about data
-// races, not results: they drive ParallelFor, the trial loop, the audit scan,
-// and the log sink from many threads at once so TSan can observe every
+// races, not results: they drive ParallelFor, the trial loop, the audit scan
+// and the tracer from many threads at once so TSan can observe every
 // cross-thread access. Result checks are minimal (determinism is covered by
 // parallel_determinism_test.cc).
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "src/addr/decoder.h"
 #include "src/audit/auditor.h"
-#include "src/base/log.h"
 #include "src/base/thread_pool.h"
 #include "src/base/units.h"
 #include "src/dram/remap.h"
@@ -148,26 +147,6 @@ TEST(ParallelSafetyTest, TracerIsSafeUnderConcurrentSpansAndControl) {
   }
   tracer.Disable();
   tracer.Reset();
-}
-
-TEST(ParallelSafetyTest, LogSinkIsSafeUnderConcurrentWriters) {
-  // The sink serializes whole lines; TSan verifies there is no race on the
-  // underlying stream state. Messages must pass the threshold to reach the
-  // sink, so lower it for the duration of the test.
-  const LogLevel previous = GetLogLevel();
-  SetLogLevel(LogLevel::kDebug);
-  std::vector<std::thread> writers;
-  for (int t = 0; t < 8; ++t) {
-    writers.emplace_back([t] {
-      for (int i = 0; i < 25; ++i) {
-        SILOZ_LOG(kDebug) << "parallel_safety_test writer " << t << " line " << i;
-      }
-    });
-  }
-  for (std::thread& writer : writers) {
-    writer.join();
-  }
-  SetLogLevel(previous);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/base/thread_pool.h"
 #include "src/sim/report.h"
 
 namespace siloz {
@@ -104,31 +103,6 @@ PoolPhaseMetrics GoldenMetrics() {
   metrics.wall_ms = 1234.5678;
   metrics.cpu_ms = 9876.5;
   return metrics;
-}
-
-TEST(ProgressMeterTest, ConcurrentTicksSumExactly) {
-  // Disabled rendering path (SILOZ_PROGRESS unset in tests): ticking must
-  // still count, and must count exactly under concurrency.
-  unsetenv("SILOZ_PROGRESS");
-  ProgressMeter meter("ticks", 64 * 100);
-  ParallelFor(4, 64, [&](uint64_t) {
-    for (int i = 0; i < 100; ++i) {
-      meter.Tick();
-    }
-  });
-  EXPECT_EQ(meter.completed(), 64u * 100u);
-}
-
-TEST(ProgressMeterTest, EnabledRenderingCountsTheSame) {
-  // With SILOZ_PROGRESS set the meter writes a status line to stderr;
-  // counting semantics are unchanged and Tick stays safe cross-thread.
-  setenv("SILOZ_PROGRESS", "1", /*overwrite=*/1);
-  {
-    ProgressMeter meter("render", 8);
-    ParallelFor(2, 8, [&](uint64_t) { meter.Tick(); });
-    EXPECT_EQ(meter.completed(), 8u);
-  }
-  unsetenv("SILOZ_PROGRESS");
 }
 
 TEST(PoolPhaseMetricsTest, GoldenText) {

@@ -18,8 +18,8 @@
 namespace siloz {
 namespace {
 
-// Restores $SILOZ_THREADS on scope exit so these tests cannot leak state
-// into each other (or into a developer's shell-configured run).
+// Restores $SILOZ_THREADS on scope exit so the tests that set it cannot
+// leak state into each other.
 class ScopedThreadsEnv {
  public:
   ScopedThreadsEnv() {
@@ -47,23 +47,23 @@ TEST(ResolveThreadsTest, PositiveRequestIsLiteral) {
   EXPECT_EQ(ResolveThreads(7), 7u);
 }
 
-TEST(ResolveThreadsTest, ZeroFallsBackToEnvThenHardware) {
+TEST(ResolveThreadsTest, ZeroIgnoresEnvironment) {
+  // --threads is the only thread knob: a well-formed $SILOZ_THREADS does not
+  // change what 0 resolves to.
   ScopedThreadsEnv guard;
-  ::setenv("SILOZ_THREADS", "3", 1);
-  EXPECT_EQ(ResolveThreads(0), 3u);
-  ::setenv("SILOZ_THREADS", "0", 1);  // non-positive env value is ignored
-  EXPECT_GE(ResolveThreads(0), 1u);
-  ::unsetenv("SILOZ_THREADS");
-  EXPECT_GE(ResolveThreads(0), 1u);
+  const uint32_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  for (const char* value : {"3", "7"}) {
+    ::setenv("SILOZ_THREADS", value, 1);
+    EXPECT_EQ(ResolveThreads(0), hardware) << value;
+    EXPECT_EQ(ParallelFor(0, 0, [](uint64_t) {}).workers, hardware) << value;
+  }
 }
 
 TEST(ResolveThreadsTest, AutoDetectUsesHardwareConcurrency) {
   // --threads 0 is the documented auto-detect spelling everywhere a thread
-  // knob is exposed (silozctl, siloz_audit, the figure benches): without an
-  // env override it resolves to the host's hardware concurrency, and a
-  // ParallelFor given 0 reports exactly that many workers.
-  ScopedThreadsEnv guard;
-  ::unsetenv("SILOZ_THREADS");
+  // knob is exposed (silozctl, siloz_audit, the figure benches): it resolves
+  // to the host's hardware concurrency, and a ParallelFor given 0 reports
+  // exactly that many workers.
   EXPECT_EQ(ResolveThreads(0), std::max(1u, std::thread::hardware_concurrency()));
   EXPECT_EQ(ParallelFor(0, 0, [](uint64_t) {}).workers, ResolveThreads(0));
 }
@@ -78,41 +78,12 @@ TEST(ResolveThreadsTest, ExplicitFlagWinsOverEnvironment) {
   EXPECT_EQ(ParallelFor(ResolveThreads(3), 0, [](uint64_t) {}).workers, 3u);
 }
 
-TEST(ResolveThreadsTest, AutoResolvesEnvironmentThenHardware) {
-  ScopedThreadsEnv guard;
-  ::setenv("SILOZ_THREADS", "5", 1);
-  EXPECT_EQ(ResolveThreads(0), 5u);
-  ::unsetenv("SILOZ_THREADS");
-  EXPECT_EQ(ResolveThreads(0), std::max(1u, std::thread::hardware_concurrency()));
-  ::setenv("SILOZ_THREADS", "0", 1);  // non-positive values fall through
-  EXPECT_EQ(ResolveThreads(0), std::max(1u, std::thread::hardware_concurrency()));
-}
-
 TEST(ResolveThreadsTest, MalformedEnvironmentFallsThroughToHardware) {
-  // $SILOZ_THREADS is parsed as strictly as a flag: "4x" is not 4.
   ScopedThreadsEnv guard;
-  for (const char* bad : {"4x", "abc", "", "-4", " 4", "4294967296"}) {
+  for (const char* bad : {"4x", "abc", "", "-4", " 4", "0", "4294967296"}) {
     ::setenv("SILOZ_THREADS", bad, 1);
     EXPECT_EQ(ResolveThreads(0), std::max(1u, std::thread::hardware_concurrency())) << bad;
   }
-}
-
-TEST(ResolveThreadsTest, ReportedCountEqualsPoolWorkerCountUnderEnvDrift) {
-  ScopedThreadsEnv guard;
-  // Resolve once — this is the value the figure banner prints...
-  ::setenv("SILOZ_THREADS", "3", 1);
-  const uint32_t reported = ResolveThreads(0);
-  ASSERT_EQ(reported, 3u);
-  // ...then the environment drifts before the grid runs.
-  ::setenv("SILOZ_THREADS", "7", 1);
-  // Forwarding the resolved value keeps the grid in agreement with the
-  // banner.
-  EXPECT_EQ(ParallelFor(reported, 0, [](uint64_t) {}).workers, reported);
-  // Handing the raw flag to ParallelFor and letting it re-resolve would have
-  // run 7 workers under a "3 worker threads" banner.
-  const uint32_t stale = ParallelFor(0, 0, [](uint64_t) {}).workers;
-  EXPECT_EQ(stale, 7u);
-  EXPECT_NE(stale, reported);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversExactRange) {

@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
             "--decoder/--ddr5",
             {.choices = PlatformNames()});
   flags.Add("--decoder", &decoder_name, "platform decoder (default skylake)",
-            {.choices = {"skylake", "snc2", "linear"}});
+            {.choices = {"skylake", "snc2"}});
   flags.Add("--ddr5", &ddr5, "DDR5 geometry + remap semantics");
   flags.Add("--subarray-rows", &subarray_rows, "boot parameter (default 1024)", {.min = 1});
   flags.Add("--silicon-rows", &options.silicon_rows_per_subarray,
@@ -158,10 +158,8 @@ int main(int argc, char** argv) {
     decoder = std::move(*made);
   } else if (decoder_name.empty() || decoder_name == "skylake") {
     decoder = std::make_unique<SkylakeDecoder>(geometry);
-  } else if (decoder_name == "snc2") {
-    decoder = std::make_unique<SncDecoder>(geometry, 2);
   } else {
-    decoder = std::make_unique<LinearDecoder>(geometry);
+    decoder = std::make_unique<SncDecoder>(geometry, 2);
   }
 
   RemapConfig remap = platform_info != nullptr ? platform_info->remap
