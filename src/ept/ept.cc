@@ -1,6 +1,8 @@
 #include "src/ept/ept.h"
 
+#include <algorithm>
 #include <array>
+#include <span>
 
 #include "src/base/check.h"
 #include "src/base/fault_injector.h"
@@ -87,13 +89,10 @@ Status ExtendedPageTable::VerifyChecksum(uint64_t table_hpa) const {
 }
 
 Status ExtendedPageTable::Map(uint64_t gpa, uint64_t hpa, PageSize size) {
-  const uint64_t bytes = PageSizeBytes(size);
-  if (gpa % bytes != 0 || hpa % bytes != 0) {
-    return MakeError(ErrorCode::kInvalidArgument, "gpa/hpa not aligned to page size");
-  }
-  // Leaf level: PDPT (1) for 1 GiB, PD (2) for 2 MiB, PT (3) for 4 KiB.
-  const uint32_t leaf_level = size == PageSize::k1G ? 1 : (size == PageSize::k2M ? 2 : 3);
+  return MapRange(gpa, hpa, PageSizeBytes(size), size);
+}
 
+Result<uint64_t> ExtendedPageTable::WalkToLeafTable(uint64_t gpa, uint32_t leaf_level) {
   uint64_t table = root_;
   for (uint32_t level = 0; level < leaf_level; ++level) {
     const uint64_t entry_addr = table + LevelIndex(gpa, level) * 8;
@@ -111,18 +110,36 @@ Status ExtendedPageTable::Map(uint64_t gpa, uint64_t hpa, PageSize size) {
     }
     table = entry & kEptFrameMask;
   }
+  return table;
+}
 
-  const uint64_t leaf_addr = table + LevelIndex(gpa, leaf_level) * 8;
-  if ((memory_.ReadU64(leaf_addr) & kEptPresent) != 0) {
-    return MakeError(ErrorCode::kAlreadyExists, "GPA already mapped");
+Status ExtendedPageTable::MapRange(uint64_t gpa, uint64_t hpa, uint64_t bytes, PageSize size) {
+  const uint64_t page = PageSizeBytes(size);
+  if (gpa % page != 0 || hpa % page != 0 || bytes % page != 0) {
+    return MakeError(ErrorCode::kInvalidArgument, "gpa/hpa/bytes not aligned to page size");
   }
-  uint64_t leaf = (hpa & kEptFrameMask) | kEptPresent;
-  if (size != PageSize::k4K) {
-    leaf |= kEptLargePage;
-  }
-  memory_.WriteU64(leaf_addr, leaf);
-  if (secure_) {
-    RefreshChecksum(table);
+  // Leaf level: PDPT (1) for 1 GiB, PD (2) for 2 MiB, PT (3) for 4 KiB.
+  const uint32_t leaf_level = size == PageSize::k1G ? 1 : (size == PageSize::k2M ? 2 : 3);
+  const uint64_t leaf_flags = kEptPresent | (size == PageSize::k4K ? 0 : kEptLargePage);
+  std::array<uint64_t, 512> entries{};
+  for (uint64_t offset = 0; offset < bytes;) {
+    Result<uint64_t> table = WalkToLeafTable(gpa + offset, leaf_level);
+    SILOZ_RETURN_IF_ERROR(table);
+    const uint32_t first = LevelIndex(gpa + offset, leaf_level);
+    const size_t count = std::min<uint64_t>(512 - first, (bytes - offset) / page);
+    const std::span<uint8_t> slice(reinterpret_cast<uint8_t*>(entries.data()), count * 8);
+    memory_.ReadPhys(*table + first * 8, slice);
+    for (size_t i = 0; i < count; ++i) {
+      if ((entries[i] & kEptPresent) != 0) {
+        return MakeError(ErrorCode::kAlreadyExists, "GPA already mapped");
+      }
+      entries[i] = ((hpa + offset + i * page) & kEptFrameMask) | leaf_flags;
+    }
+    memory_.WritePhys(*table + first * 8, slice);
+    if (secure_) {
+      RefreshChecksum(*table);
+    }
+    offset += count * page;
   }
   return Status::Ok();
 }

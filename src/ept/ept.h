@@ -53,7 +53,17 @@ class ExtendedPageTable {
                                                            bool secure = false);
 
   // Map [gpa, gpa+size) -> [hpa, hpa+size); both must be size-aligned.
+  // The one-page MapRange.
   Status Map(uint64_t gpa, uint64_t hpa, PageSize size);
+
+  // Map [gpa, gpa+bytes) -> [hpa, hpa+bytes) in `size` pages; all three
+  // must be page-aligned. Walks to each leaf table once, drawing missing
+  // tables in the order a per-page Map loop would, then reads and writes the
+  // table's slice of the range in one access each, failing with
+  // kAlreadyExists if an entry there is present or a large page covers it.
+  // On DRAM-backed memory that is a different command sequence from a
+  // per-page Map loop's.
+  Status MapRange(uint64_t gpa, uint64_t hpa, uint64_t bytes, PageSize size);
 
   // Hardware page walk: GPA -> HPA, reading table bytes from physical
   // memory. In secure mode, each visited table page's checksum is verified
@@ -91,6 +101,10 @@ class ExtendedPageTable {
 
   // Index of `gpa` at a given level (0 = PML4 ... 3 = PT).
   static uint32_t LevelIndex(uint64_t gpa, uint32_t level);
+
+  // Walks from the root to the table holding `gpa`'s entry at `leaf_level`,
+  // drawing any missing table on the way.
+  Result<uint64_t> WalkToLeafTable(uint64_t gpa, uint32_t leaf_level);
 
   Result<uint64_t> AllocateTablePage();
   void RefreshChecksum(uint64_t table_hpa);

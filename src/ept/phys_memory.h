@@ -30,6 +30,11 @@ class PhysMemory {
   // the property VM migration relies on to move multi-GiB backings cheaply.
   virtual void CopyPhys(uint64_t dst, uint64_t src, uint64_t bytes);
 
+  // True when every access is a modeled DRAM command that can activate a
+  // hammerable row, so the number and order of accesses is itself model
+  // output. False for stores where only the bytes matter.
+  virtual bool AccessesActivateRows() const { return false; }
+
   uint64_t ReadU64(uint64_t phys);
   void WriteU64(uint64_t phys, uint64_t value);
 };

@@ -87,47 +87,6 @@ Result<uint64_t> BuddyAllocator::Allocate(uint32_t order) {
   return block;
 }
 
-bool BuddyAllocator::CarveTo(uint64_t phys, uint32_t order) {
-  // Find the free block containing `phys` at some order >= `order`.
-  for (uint32_t have = order; have <= kMaxOrder; ++have) {
-    const uint64_t candidate = AlignDown(phys, OrderBytes(have));
-    auto it = free_[have].find(candidate);
-    if (it == free_[have].end()) {
-      continue;
-    }
-    RemoveFree(candidate, have);
-    // Split down toward `phys`.
-    uint64_t block = candidate;
-    while (have > order) {
-      --have;
-      const uint64_t half = OrderBytes(have);
-      if (phys < block + half) {
-        AddFree(block + half, have);  // keep low half
-      } else {
-        AddFree(block, have);  // keep high half
-        block += half;
-      }
-    }
-    AddFree(block, order);
-    return true;
-  }
-  return false;
-}
-
-Status BuddyAllocator::AllocateAt(uint64_t phys, uint32_t order) {
-  if (order > kMaxOrder || phys % OrderBytes(order) != 0) {
-    return MakeError(ErrorCode::kInvalidArgument, "misaligned AllocateAt");
-  }
-  SILOZ_FAULT_POINT("alloc.buddy.at");
-  if (!CarveTo(phys, order)) {
-    return MakeError(ErrorCode::kNoMemory,
-                     "block at " + std::to_string(phys) + " not free");
-  }
-  RemoveFree(phys, order);
-  free_bytes_ -= OrderBytes(order);
-  return Status::Ok();
-}
-
 bool BuddyAllocator::OverlapsFreeOrOfflined(uint64_t phys, uint32_t order) const {
   const uint64_t end = phys + OrderBytes(order);
   // Free blocks and offlined extents are each disjoint and address-ordered,
@@ -229,6 +188,27 @@ Status BuddyAllocator::OfflinePage(uint64_t phys) {
     return MakeError(ErrorCode::kInvalidArgument, "misaligned OfflinePage");
   }
   return TakeRange(PhysRange{phys, phys + OrderBytes(0)}, Take::kOffline);
+}
+
+std::optional<PhysRange> BuddyAllocator::NextFreeRun(uint64_t phys, uint32_t order) const {
+  const uint64_t start = AlignUp(phys, OrderBytes(order));
+  // The free block holding `start` if there is one, else the first after it.
+  auto block = free_by_addr_.upper_bound(start);
+  if (block != free_by_addr_.begin() &&
+      std::prev(block)->first + OrderBytes(std::prev(block)->second) > start) {
+    --block;
+  }
+  while (block != free_by_addr_.end() && block->second < order) {
+    ++block;
+  }
+  if (block == free_by_addr_.end()) {
+    return std::nullopt;
+  }
+  PhysRange run{std::max(start, block->first), block->first + OrderBytes(block->second)};
+  for (++block; block != free_by_addr_.end() && block->first == run.end; ++block) {
+    run.end += OrderBytes(block->second);
+  }
+  return run;
 }
 
 int32_t BuddyAllocator::LargestFreeOrder() const {

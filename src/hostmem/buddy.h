@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -35,11 +36,7 @@ class BuddyAllocator {
   // Allocate one naturally-aligned block of (4 KiB << order) bytes.
   Result<uint64_t> Allocate(uint32_t order);
 
-  // Allocate the specific block at `phys` (must be free). Used for
-  // contiguous VM placement (§5.4's EPT-count argument relies on it).
-  Status AllocateAt(uint64_t phys, uint32_t order);
-
-  // Return a block obtained from Allocate/AllocateAt. Rejects with
+  // Return a block obtained from Allocate or TakeRange. Rejects with
   // kFailedPrecondition any block that overlaps a currently-free block or an
   // offlined page: a double (or never-allocated) free would otherwise
   // corrupt free_bytes_ and the coalescing state silently, which is exactly
@@ -48,18 +45,28 @@ class BuddyAllocator {
 
   // What TakeRange does with the pages it removes from the free lists.
   enum class Take : uint8_t {
-    kAllocate,  // handed out, as if by AllocateAt(page, 0) for each page
+    kAllocate,  // handed out, to be returned block by block through Free
     kOffline,   // permanently removed, as if by OfflinePage for each page
   };
 
   // Removes every page of the 4 KiB-aligned `range` from the free lists in
   // one pass: each free block overlapping the range is dropped and its parts
   // outside the range are re-added as maximal buddy sub-blocks. The free
-  // lists end up exactly as a per-page AllocateAt/OfflinePage loop over the
-  // range leaves them, at O(blocks + log n) instead of O(pages * log n) —
-  // boot carves the guard and EPT row groups (§5.4, §6) this way. Fails with
-  // kFailedPrecondition, changing nothing, if any page is not free.
+  // lists end up exactly as a per-page loop of one-page takes over the range
+  // leaves them, at O(blocks + log n) instead of O(pages * log n) — boot
+  // carves the guard and EPT row groups (§5.4, §6) and VM placement takes
+  // its backing runs this way. Fails with kFailedPrecondition, changing
+  // nothing, if any page is not free.
   Status TakeRange(const PhysRange& range, Take take);
+
+  // The free run at the lowest address >= `phys` that starts a wholly free,
+  // naturally aligned block of `order`: [begin, end), where `end` extends
+  // over every free block that follows contiguously. nullopt if no such
+  // block exists. The free lists are always the maximal buddy blocks of the
+  // free pages, so an aligned block of `order` is wholly free exactly when a
+  // free block of order >= `order` contains it: one lookup in the
+  // address-ordered mirror, then a forward walk over the free blocks.
+  std::optional<PhysRange> NextFreeRun(uint64_t phys, uint32_t order) const;
 
   // Permanently remove a free 4 KiB page from the pool (Linux page
   // offlining, §5.4/§6): the one-page TakeRange. Fails if the page is not
@@ -88,11 +95,6 @@ class BuddyAllocator {
   bool OverlapsFreeOrOfflined(uint64_t phys, uint32_t order) const;
 
  private:
-  // Splits blocks until a free block of exactly `order` containing `phys`
-  // exists; returns false if `phys` is not inside any free block of order
-  // >= `order`.
-  bool CarveTo(uint64_t phys, uint32_t order);
-
   void Insert(uint64_t phys, uint32_t order);
 
   // Adds to the free lists the maximal buddy sub-blocks of the block at

@@ -43,6 +43,21 @@ class NumaNode {
   BuddyAllocator& allocator() { return allocator_; }
   const BuddyAllocator& allocator() const { return allocator_; }
 
+  // VM placement scans. Each walks the node's ranges in order, lowest
+  // address first within a range, jumps from an obstruction straight to the
+  // next free run (BuddyAllocator::NextFreeRun) and takes whole runs with
+  // one TakeRange each, so its cost is linear in the free runs it passes.
+  // `bytes` must be a multiple of the order's block size.
+
+  // Allocates `bytes` as one contiguous run of `order` blocks inside one
+  // range; returns its start.
+  Result<uint64_t> AllocateContiguous(uint64_t bytes, uint32_t order);
+
+  // Allocates `bytes` in `order` blocks as few maximal contiguous runs as
+  // possible (guard-row offlining can fragment a group). All-or-nothing: a
+  // shortfall or a failed take frees the runs already taken.
+  Result<std::vector<PhysRange>> AllocateRuns(uint64_t bytes, uint32_t order);
+
  private:
   uint32_t id_;
   NodeKind kind_;

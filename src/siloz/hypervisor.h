@@ -210,14 +210,6 @@ class SilozHypervisor {
   Status FreePagesLocked(uint32_t node_id, uint64_t phys, uint32_t order) REQUIRES(mu_);
   std::vector<uint32_t> AvailableGuestNodesLocked(uint32_t socket) const REQUIRES(mu_);
 
-  // Contiguously allocate `bytes` from `node` in blocks of `order`,
-  // returning the start address (node must have a contiguous free run).
-  Result<uint64_t> AllocateContiguous(NumaNode& node, uint64_t bytes, uint32_t order);
-
-  // Allocate `bytes` from `node` as few maximal contiguous runs as possible
-  // (guard-row offlining can fragment a group). All-or-nothing.
-  Result<std::vector<PhysRange>> AllocateRuns(NumaNode& node, uint64_t bytes, uint32_t order);
-
   // Physical extent of row group `row` in (socket, cluster): verifies the
   // decoder keeps row groups contiguous (kUnsupported otherwise).
   Result<PhysRange> RowGroupExtent(uint32_t socket, uint32_t cluster, uint32_t row) const;

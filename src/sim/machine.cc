@@ -32,6 +32,8 @@ class Machine::DramBackedMemory final : public PhysMemory {
     });
   }
 
+  bool AccessesActivateRows() const override { return true; }
+
  private:
   // Splits [phys, phys+len) into cache-line pieces that each live in one
   // device row and applies `op`.

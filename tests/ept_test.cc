@@ -1,6 +1,11 @@
 // Tests for the EPT walker and secure-EPT integrity (src/ept).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
+#include "src/base/fault_injector.h"
 #include "src/base/units.h"
 #include "src/ept/ept.h"
 #include "src/ept/phys_memory.h"
@@ -198,6 +203,144 @@ TEST(EptTest, AllocatorFailurePropagates) {
   const Status status = ept.Map(0, 0, PageSize::k2M);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, ErrorCode::kNoMemory);
+}
+
+// --- MapRange against the per-page Map loop ---
+
+// A table over its own memory and bump allocator: twins fed the same calls
+// draw the same table pages.
+struct TableTwin {
+  explicit TableTwin(bool secure) : ept(memory, BumpAllocator(&cursor), secure) {}
+
+  FlatPhysMemory memory;
+  uint64_t cursor = 1_GiB;
+  ExtendedPageTable ept;
+};
+
+Status MapPageByPage(ExtendedPageTable& ept, uint64_t gpa, uint64_t hpa, uint64_t bytes,
+                     PageSize size) {
+  for (uint64_t offset = 0; offset < bytes; offset += PageSizeBytes(size)) {
+    SILOZ_RETURN_IF_ERROR(ept.Map(gpa + offset, hpa + offset, size));
+  }
+  return Status::Ok();
+}
+
+std::string Leaves(const ExtendedPageTable& ept) {
+  std::string text;
+  const Status walked = ept.VisitLeafMappings([&text](const ExtendedPageTable::LeafMapping& leaf) {
+    text += std::to_string(leaf.gpa) + "->" + std::to_string(leaf.hpa) + "/" +
+            std::to_string(static_cast<int>(leaf.size)) + " ";
+  });
+  return walked.ok() ? text : walked.error().ToString();
+}
+
+void ExpectSameTables(TableTwin& ranged, TableTwin& paged) {
+  ASSERT_EQ(ranged.ept.table_pages(), paged.ept.table_pages());
+  for (uint64_t table : ranged.ept.table_pages()) {
+    std::array<uint8_t, kPage4K> a;
+    std::array<uint8_t, kPage4K> b;
+    ranged.memory.ReadPhys(table, a);
+    paged.memory.ReadPhys(table, b);
+    ASSERT_EQ(a, b) << "table page " << table;
+  }
+  EXPECT_EQ(Leaves(ranged.ept), Leaves(paged.ept));
+}
+
+struct RangeCase {
+  const char* name;
+  uint64_t gpa;
+  uint64_t hpa;
+  uint64_t pages;
+  PageSize size;
+};
+
+// Runs inside one leaf table, across leaf tables, and across a PML4 entry
+// (a new PDPT) for every page size.
+constexpr RangeCase kRangeCases[] = {
+    {"4k_one_table", 0x7000, 0x123456000, 37, PageSize::k4K},
+    {"4k_across_tables", 2_MiB - 5 * kPage4K, 8_GiB, 700, PageSize::k4K},
+    {"4k_across_pdpt", 512_GiB - 2 * kPage4K, 8_GiB + 3 * kPage4K, 4, PageSize::k4K},
+    {"2m_one_table", 4_MiB, 512_MiB, 100, PageSize::k2M},
+    {"2m_across_tables", 1_GiB - 6_MiB, 16_GiB, 1200, PageSize::k2M},
+    {"2m_across_pdpt", 512_GiB - 4_MiB, 16_GiB, 4, PageSize::k2M},
+    {"1g_one_table", 2_GiB, 8_GiB, 3, PageSize::k1G},
+    {"1g_across_pdpt", 510_GiB, 64_GiB, 4, PageSize::k1G},
+};
+
+TEST(EptMapRangeTest, MatchesPerPageLoop) {
+  for (const RangeCase& range : kRangeCases) {
+    for (bool secure : {false, true}) {
+      SCOPED_TRACE(std::string(range.name) + (secure ? " secure" : ""));
+      TableTwin ranged(secure);
+      TableTwin paged(secure);
+      const uint64_t bytes = range.pages * PageSizeBytes(range.size);
+      ASSERT_TRUE(ranged.ept.MapRange(range.gpa, range.hpa, bytes, range.size).ok());
+      ASSERT_TRUE(MapPageByPage(paged.ept, range.gpa, range.hpa, bytes, range.size).ok());
+      ASSERT_NO_FATAL_FAILURE(ExpectSameTables(ranged, paged));
+      // Every page translates; in secure mode each walk verifies checksums.
+      for (uint64_t offset = 0; offset < bytes; offset += PageSizeBytes(range.size)) {
+        Result<uint64_t> hpa = ranged.ept.Translate(range.gpa + offset + 8);
+        ASSERT_TRUE(hpa.ok()) << hpa.error().ToString();
+        ASSERT_EQ(*hpa, range.hpa + offset + 8);
+      }
+    }
+  }
+}
+
+TEST(EptMapRangeTest, RejectsWhatMapRejects) {
+  TableTwin ranged(false);
+  TableTwin paged(false);
+  auto expect_same_error = [&](uint64_t gpa, uint64_t hpa, uint64_t bytes, PageSize size,
+                               ErrorCode code) {
+    const Status from_range = ranged.ept.MapRange(gpa, hpa, bytes, size);
+    const Status from_pages = MapPageByPage(paged.ept, gpa, hpa, bytes, size);
+    ASSERT_FALSE(from_range.ok());
+    ASSERT_FALSE(from_pages.ok());
+    EXPECT_EQ(from_range.error().code, code);
+    EXPECT_EQ(from_pages.error().code, code);
+  };
+  expect_same_error(4_KiB, 0, 4_MiB, PageSize::k2M, ErrorCode::kInvalidArgument);
+  expect_same_error(2_MiB, 4_KiB, 4_MiB, PageSize::k2M, ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ranged.ept.MapRange(0, 0, 3_MiB, PageSize::k2M).error().code,
+            ErrorCode::kInvalidArgument);
+  // An entry already present inside the range.
+  for (TableTwin* twin : {&ranged, &paged}) {
+    ASSERT_TRUE(twin->ept.Map(64_MiB + 5 * kPage4K, 1_MiB, PageSize::k4K).ok());
+    ASSERT_TRUE(twin->ept.Map(1_GiB, 2_GiB, PageSize::k2M).ok());
+    ASSERT_TRUE(twin->ept.Map(8_GiB, 8_GiB, PageSize::k1G).ok());
+  }
+  expect_same_error(64_MiB, 4_GiB, 16 * kPage4K, PageSize::k4K, ErrorCode::kAlreadyExists);
+  // A 2 MiB page above a 4 KiB range, and a 1 GiB page above a 2 MiB one.
+  expect_same_error(1_GiB + kPage4K, 4_GiB, 8 * kPage4K, PageSize::k4K,
+                    ErrorCode::kAlreadyExists);
+  expect_same_error(8_GiB + 4_MiB, 4_GiB, 2 * kPage2M, PageSize::k2M,
+                    ErrorCode::kAlreadyExists);
+  // A 2 MiB range over a table of 4 KiB entries.
+  expect_same_error(64_MiB, 4_GiB, kPage2M, PageSize::k2M, ErrorCode::kAlreadyExists);
+}
+
+TEST(EptMapRangeTest, TablePageFaultDrawsWhatPerPageLoopDraws) {
+  // 2 MiB pages across a PD boundary and a PML4 entry: five table draws
+  // after the root (two PDPTs, three PDs).
+  const uint64_t gpa = 511_GiB - 4_MiB;
+  const uint64_t bytes = 2_GiB;
+  for (uint64_t k = 1; k <= 7; ++k) {
+    SCOPED_TRACE("fault at table draw " + std::to_string(k));
+    TableTwin ranged(true);
+    TableTwin paged(true);
+    Status from_range = [&] {
+      ScopedFault fault(k, "alloc.ept.table_page");
+      return ranged.ept.MapRange(gpa, 16_GiB, bytes, PageSize::k2M);
+    }();
+    const uint64_t fired = FaultInjector::Global().faults_fired();
+    Status from_pages = [&] {
+      ScopedFault fault(k, "alloc.ept.table_page");
+      return MapPageByPage(paged.ept, gpa, 16_GiB, bytes, PageSize::k2M);
+    }();
+    ASSERT_EQ(from_range.ok(), from_pages.ok());
+    ASSERT_EQ(from_range.ok(), fired == 0);
+    EXPECT_EQ(ranged.ept.table_pages(), paged.ept.table_pages());
+  }
 }
 
 }  // namespace

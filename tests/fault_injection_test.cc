@@ -138,6 +138,36 @@ TEST_F(LifecycleFaultTest, RunsFailureOnSecondNodeConservesEverything) {
   ASSERT_TRUE(id.ok()) << id.error().ToString();
 }
 
+// A quarantined row (§6) in the first guest group splits its node, so
+// AllocateRuns takes the RAM as several runs. A fault on a later take must
+// free the runs already taken and unwind the whole create; the sweep then
+// covers every point of this create.
+TEST_F(LifecycleFaultTest, LaterRunTakeFailureConservesEverything) {
+  SilozConfig config;
+  MediaAddress quarantined;
+  quarantined.row = 2500;  // group 2: the first guest group on socket 0
+  config.quarantined_rows.push_back(quarantined);
+  auto hypervisor_owner = MakeBooted(config);
+  SilozHypervisor& hypervisor = *hypervisor_owner;
+  VmConfig vm{.name = "split", .memory_bytes = 1_GiB, .socket = 0};
+  size_t runs = 0;
+  {
+    Result<VmId> id = hypervisor.CreateVm(vm);
+    ASSERT_TRUE(id.ok()) << id.error().ToString();
+    runs = (*hypervisor.GetVm(*id))->regions().size();
+    ASSERT_TRUE(hypervisor.DestroyVm(*id).ok());
+    ASSERT_TRUE(hypervisor.ReleaseVmNodes(*id).ok());
+  }
+  ASSERT_GE(runs, 2u);
+  for (uint64_t k = 2; k <= runs; ++k) {
+    ExpectConservedFailure(hypervisor, vm, k, "alloc.buddy.range");
+  }
+  Result<FaultSweepReport> report = RunCreateVmFaultSweep(hypervisor, vm);
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  EXPECT_GE(report->creates_failed, runs);
+  EXPECT_EQ(report->creates_survived, 0u);
+}
+
 // Regression: the baseline contiguous allocation failure leaked the phantom
 // map entries created before the first fallible step.
 TEST_F(LifecycleFaultTest, BaselineContiguousFailureConservesEverything) {

@@ -12,6 +12,7 @@
 #include "src/hostmem/buddy.h"
 #include "src/hostmem/cgroup.h"
 #include "src/hostmem/numa.h"
+#include "tests/support/placement_oracle.h"
 
 namespace siloz {
 namespace {
@@ -50,22 +51,21 @@ TEST(BuddyTest, ExhaustionReturnsNoMemory) {
   EXPECT_EQ(buddy.free_bytes(), 0u);
 }
 
-TEST(BuddyTest, AllocateAtSpecificBlock) {
+TEST(BuddyTest, TakeBlockAtSpecificAddress) {
   BuddyAllocator buddy({PhysRange{0, 64_MiB}});
-  ASSERT_TRUE(buddy.AllocateAt(6_MiB, kOrder2M).ok());
+  ASSERT_TRUE(TakeBlock(buddy, 6_MiB, kOrder2M).ok());
   EXPECT_FALSE(buddy.IsFree(6_MiB));
   EXPECT_TRUE(buddy.IsFree(4_MiB));
   // Double allocation fails.
-  EXPECT_FALSE(buddy.AllocateAt(6_MiB, kOrder2M).ok());
+  EXPECT_FALSE(TakeBlock(buddy, 6_MiB, kOrder2M).ok());
   // Freeing restores.
   ASSERT_TRUE(buddy.Free(6_MiB, kOrder2M).ok());
   EXPECT_TRUE(buddy.IsFree(6_MiB));
   EXPECT_EQ(buddy.free_bytes(), 64_MiB);
 }
 
-TEST(BuddyTest, AllocateAtRejectsMisaligned) {
+TEST(BuddyTest, FreeRejectsMisaligned) {
   BuddyAllocator buddy({PhysRange{0, 64_MiB}});
-  EXPECT_FALSE(buddy.AllocateAt(3_MiB, kOrder2M).ok());
   EXPECT_FALSE(buddy.Free(3_MiB, kOrder2M).ok());
 }
 
@@ -85,13 +85,13 @@ TEST(BuddyTest, DoubleFreeRejected) {
 
 TEST(BuddyTest, FreeRejectsOverlapWithFreeBlocks) {
   BuddyAllocator buddy({PhysRange{0, 64_MiB}});
-  ASSERT_TRUE(buddy.AllocateAt(2_MiB, kOrder2M).ok());
+  ASSERT_TRUE(TakeBlock(buddy, 2_MiB, kOrder2M).ok());
   ASSERT_TRUE(buddy.Free(2_MiB, kOrder2M).ok());
   // A sub-block of a free block: the predecessor free block extends over it.
   EXPECT_FALSE(buddy.Free(2_MiB + 4_KiB, kOrder4K).ok());
   // A super-block containing free memory: a free block starts inside it.
-  ASSERT_TRUE(buddy.AllocateAt(4_MiB, kOrder2M).ok());
-  ASSERT_TRUE(buddy.AllocateAt(6_MiB, kOrder2M).ok());
+  ASSERT_TRUE(TakeBlock(buddy, 4_MiB, kOrder2M).ok());
+  ASSERT_TRUE(TakeBlock(buddy, 6_MiB, kOrder2M).ok());
   ASSERT_TRUE(buddy.Free(6_MiB, kOrder2M).ok());
   EXPECT_FALSE(buddy.Free(4_MiB, kOrder2M + 1).ok());
   // The genuinely-allocated block is still freeable.
@@ -102,7 +102,7 @@ TEST(BuddyTest, FreeRejectsOverlapWithOfflinedPages) {
   BuddyAllocator buddy({PhysRange{0, 8_MiB}});
   // Allocate the whole block, then free + offline one interior page so the
   // only overlap with [2 MiB, 4 MiB) is the offlined page.
-  ASSERT_TRUE(buddy.AllocateAt(2_MiB, kOrder2M).ok());
+  ASSERT_TRUE(TakeBlock(buddy, 2_MiB, kOrder2M).ok());
   ASSERT_TRUE(buddy.Free(2_MiB + 4_KiB, kOrder4K).ok());
   ASSERT_TRUE(buddy.OfflinePage(2_MiB + 4_KiB).ok());
   const uint64_t free_before = buddy.free_bytes();
@@ -119,9 +119,9 @@ TEST(BuddyTest, OfflinePageRemovesPermanently) {
   EXPECT_EQ(buddy.total_bytes(), 8_MiB - 4_KiB);
   EXPECT_FALSE(buddy.IsFree(2_MiB));
   // The containing 2 MiB block can no longer be allocated whole.
-  EXPECT_FALSE(buddy.AllocateAt(2_MiB, kOrder2M).ok());
+  EXPECT_FALSE(TakeBlock(buddy, 2_MiB, kOrder2M).ok());
   // But its other pages still can.
-  EXPECT_TRUE(buddy.AllocateAt(2_MiB + 4_KiB, kOrder4K).ok());
+  EXPECT_TRUE(TakeBlock(buddy, 2_MiB + 4_KiB, kOrder4K).ok());
   // Offlining an allocated page fails.
   EXPECT_FALSE(buddy.OfflinePage(2_MiB + 4_KiB).ok());
 }
@@ -217,7 +217,7 @@ TEST(BuddyTest, TakeRangeSplitsStraddlingBlocksAndMergesOfflinedExtents) {
   EXPECT_FALSE(buddy.IsOfflined(10_MiB + 4_KiB));
   EXPECT_FALSE(buddy.OfflinePage(6_MiB).ok());
   // Free rejects any block overlapping the extent, even with no free page.
-  ASSERT_TRUE(buddy.AllocateAt(4_MiB, kOrder4K + 8).ok());  // [4M, 5M)
+  ASSERT_TRUE(TakeBlock(buddy, 4_MiB, kOrder4K + 8).ok());  // [4M, 5M)
   EXPECT_FALSE(buddy.Free(4_MiB, kOrder2M).ok());
   EXPECT_TRUE(buddy.Free(4_MiB, kOrder4K + 8).ok());
   // kAllocate takes pages without offlining them: they free page by page.
@@ -233,7 +233,7 @@ TEST(BuddyTest, TakeRangeSplitsStraddlingBlocksAndMergesOfflinedExtents) {
 
 TEST(BuddyTest, TakeRangeOverNonFreePageFailsAndChangesNothing) {
   BuddyAllocator buddy({PhysRange{0, 16_MiB}});
-  ASSERT_TRUE(buddy.AllocateAt(8_MiB + 4_KiB, kOrder4K).ok());
+  ASSERT_TRUE(TakeBlock(buddy, 8_MiB + 4_KiB, kOrder4K).ok());
   for (BuddyAllocator::Take take :
        {BuddyAllocator::Take::kAllocate, BuddyAllocator::Take::kOffline}) {
     Status taken = buddy.TakeRange(PhysRange{7_MiB, 9_MiB}, take);
@@ -243,7 +243,7 @@ TEST(BuddyTest, TakeRangeOverNonFreePageFailsAndChangesNothing) {
     EXPECT_EQ(buddy.free_bytes(), 16_MiB - 4_KiB);
     EXPECT_EQ(buddy.offlined_bytes(), 0u);
     EXPECT_EQ(buddy.LargestFreeOrder(), 11);  // [0, 8M) is still whole
-    EXPECT_TRUE(buddy.AllocateAt(0, 11).ok());
+    EXPECT_TRUE(TakeBlock(buddy, 0, 11).ok());
     ASSERT_TRUE(buddy.Free(0, 11).ok());
   }
   // A range past the end of the pool fails the same way.
@@ -256,10 +256,9 @@ TEST(BuddyTest, TakeRangeOverNonFreePageFailsAndChangesNothing) {
 }
 
 // Twin allocators through the same seeded history, then random ranges:
-// TakeRange on `ranged`, the per-page loop on `paged` (the same Take per
-// page) and AllocateAt(page, 0) — the CarveTo path — on `carved`. All three
-// must agree on the free lists; `ranged` and `paged` also on what is
-// offlined, which a page-set model checks independently.
+// TakeRange on `ranged` and the per-page loop of one-page takes on `paged`.
+// Both must agree on the free lists and on what is offlined, which a
+// page-set model checks independently.
 class TakeRangeEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 constexpr uint64_t kEquivalencePoolEnd = 24_MiB;
@@ -302,7 +301,7 @@ TEST_P(TakeRangeEquivalence, MatchesPerPageLoop) {
       const auto order = static_cast<uint32_t>(rng.NextBelow(4));
       const uint64_t phys =
           rng.NextBelow(kEquivalencePoolEnd / OrderBytes(order)) * OrderBytes(order);
-      if (ranged.AllocateAt(phys, order).ok()) {
+      if (TakeBlock(ranged, phys, order).ok()) {
         live.emplace_back(phys, order);
       }
     } else if (!live.empty()) {
@@ -312,7 +311,6 @@ TEST_P(TakeRangeEquivalence, MatchesPerPageLoop) {
     }
   }
   BuddyAllocator paged = ranged;
-  BuddyAllocator carved = ranged;
   std::set<uint64_t> offlined;
   PhysRange last{0, 0};
   for (int trial = 0; trial < 48; ++trial) {
@@ -345,8 +343,7 @@ TEST_P(TakeRangeEquivalence, MatchesPerPageLoop) {
       ASSERT_TRUE(taken.ok()) << taken.error().ToString();
       for (uint64_t page = range.begin; page < range.end; page += 4_KiB) {
         ASSERT_TRUE(take == BuddyAllocator::Take::kOffline ? paged.OfflinePage(page).ok()
-                                                           : paged.AllocateAt(page, 0).ok());
-        ASSERT_TRUE(carved.AllocateAt(page, 0).ok());
+                                                           : TakeBlock(paged, page, 0).ok());
         if (take == BuddyAllocator::Take::kOffline) {
           offlined.insert(page);
         }
@@ -357,7 +354,6 @@ TEST_P(TakeRangeEquivalence, MatchesPerPageLoop) {
       EXPECT_EQ(taken.error().code, ErrorCode::kFailedPrecondition);
     }
     ExpectSameFreeLists(ranged, paged, GetParam() + trial);
-    ExpectSameFreeLists(ranged, carved, GetParam() + trial);
     EXPECT_EQ(ranged.total_bytes(), paged.total_bytes());
     EXPECT_EQ(ranged.offlined_bytes(), paged.offlined_bytes());
     EXPECT_EQ(ranged.offlined_bytes(), offlined.size() * 4_KiB);

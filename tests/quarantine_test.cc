@@ -67,7 +67,7 @@ TEST(QuarantineTest, BootOfflinesRepairedRowPages) {
   // 128 cache lines at 4 KiB-page granularity: 128 pages = 512 KiB.
   EXPECT_EQ(hypervisor.quarantined_bytes(), 128 * kPage4K);
   // None of the repaired row's pages are allocatable: row 2500 lives in
-  // guest group 2, whose node must refuse AllocateAt for each page.
+  // guest group 2, whose node must refuse to take each page.
   NumaNode* owner = nullptr;
   for (uint32_t node_id : hypervisor.AvailableGuestNodes(0)) {
     NumaNode& node = **hypervisor.nodes().Get(node_id);
@@ -82,7 +82,9 @@ TEST(QuarantineTest, BootOfflinesRepairedRowPages) {
     MediaAddress media = quarantined;
     media.column = column;
     const uint64_t page = *machine.decoder().MediaToPhys(media) & ~(kPage4K - 1);
-    EXPECT_FALSE(owner->allocator().AllocateAt(page, kOrder4K).ok());
+    EXPECT_FALSE(owner->allocator()
+                     .TakeRange(PhysRange{page, page + kPage4K}, BuddyAllocator::Take::kAllocate)
+                     .ok());
   }
 }
 
