@@ -248,11 +248,10 @@ BenchResult BenchReadEcc() {
 // per-channel shard engine with per-bank-group command queues (DESIGN.md
 // §15). Single worker — worker count is never observable (DESIGN.md §13),
 // so this checksum stands for every thread count. The per-shard request
-// census is reported alongside and gated exactly by the regression script;
-// it depends only on the channel partition, never on the bank-group queue
-// split.
-BenchResult BenchShardedClosedLoop(uint32_t channels_per_shard,
-                                   uint32_t bank_groups_per_queue) {
+// census is reported alongside and gated exactly by the regression script.
+// The engine runs at its defaults (one shard per channel, one bank group
+// per queue), the shape the committed baseline was measured at.
+BenchResult BenchShardedClosedLoop() {
   constexpr uint64_t kIters = 2'000'000;
   const SkylakeDecoder decoder(Geometry());
   std::vector<MemRequest> requests;
@@ -274,8 +273,7 @@ BenchResult BenchShardedClosedLoop(uint32_t channels_per_shard,
   std::vector<uint64_t> shard_requests;
   BenchResult result = RunBench(
       "sharded_closed_loop", kIters,
-      [&requests, &shard_requests, channels_per_shard,
-       bank_groups_per_queue](Checksum& checksum) {
+      [&requests, &shard_requests](Checksum& checksum) {
         std::vector<std::unique_ptr<MemoryController>> owned;
         std::vector<MemoryController*> controllers;
         for (uint32_t socket = 0; socket < Geometry().sockets; ++socket) {
@@ -285,8 +283,6 @@ BenchResult BenchShardedClosedLoop(uint32_t channels_per_shard,
         ShardedEngineConfig config;
         config.engine.max_outstanding = 10;
         config.engine.compute_ns_per_access = 10.0;
-        config.channels_per_shard = channels_per_shard;
-        config.bank_groups_per_queue = bank_groups_per_queue;
         config.threads = 1;
         const Result<ShardedEngineResult> run =
             RunShardedClosedLoop(requests, controllers, config);
@@ -317,16 +313,8 @@ BenchResult BenchShardedClosedLoop(uint32_t channels_per_shard,
 
 int main(int argc, char** argv) {
   bool json = false;
-  // Model knobs of the sharded bench; the committed baseline is measured at
-  // the engine defaults (one shard per channel, one bank group per queue),
-  // and CI passes them explicitly so the invocation documents the baseline
-  // shape.
-  siloz::ShardedEngineConfig knobs;
   siloz::FlagSet flags("bench_hotpath");
   flags.Add("--json", &json, "machine-readable report on stdout");
-  flags.Add("--channels-per-shard", &knobs.channels_per_shard, "channels per shard", {.min = 1});
-  flags.Add("--bank-groups-per-queue", &knobs.bank_groups_per_queue,
-            "bank groups per command queue", {.min = 1});
   flags.ParseOrExit(argc, argv, 2);
 
   const std::vector<siloz::BenchResult> results = {
@@ -334,7 +322,7 @@ int main(int argc, char** argv) {
       siloz::BenchActDisturb(),
       siloz::BenchDeviceActRandom(),
       siloz::BenchReadEcc(),
-      siloz::BenchShardedClosedLoop(knobs.channels_per_shard, knobs.bank_groups_per_queue),
+      siloz::BenchShardedClosedLoop(),
   };
 
   bool deterministic = true;

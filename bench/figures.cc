@@ -107,11 +107,8 @@ bool RunFigure(const FigureSpec& figure, const Section& section, RunnerConfig ru
   // tables never do, so the count is resolved once, reported up front, and
   // forwarded to RunWorkloadGrid.
   const uint32_t threads = ResolveThreads(runner.threads);
-  std::fprintf(stderr,
-               "%s: %u worker threads (--threads %u%s), --channels-per-shard %u, "
-               "--bank-groups-per-queue %u\n",
-               experiment, threads, runner.threads, runner.threads == 0 ? " = auto" : "",
-               runner.channels_per_shard, runner.bank_groups_per_queue);
+  std::fprintf(stderr, "%s: %u worker threads (--threads %u%s)\n", experiment, threads,
+               runner.threads, runner.threads == 0 ? " = auto" : "");
 
   // Grid points are kernel-major: point k * |workloads| + w.
   std::vector<GridPoint> points;
@@ -215,10 +212,6 @@ int siloz::bench::Figure(FlagSet& flags, int argc, char** argv) {
   flags.Add("--threads", &base.threads,
             "grid workers (0 = hardware concurrency);\n"
             "tables are identical for every N");
-  flags.Add("--channels-per-shard", &base.channels_per_shard,
-            "channels per command-queue shard (model knob)", {.min = 1});
-  flags.Add("--bank-groups-per-queue", &base.bank_groups_per_queue,
-            "bank groups per command queue (model knob)", {.min = 1});
   flags.Add("--platform", &platform, "registered platform (default: the Table 2 server)",
             {.choices = PlatformNames()});
   flags.AddExports(&exports);

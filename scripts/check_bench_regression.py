@@ -139,14 +139,13 @@ def main() -> int:
             if base_len != cur_len:
                 # A length change is a different failure class from a content
                 # change: the number of shards is a pure function of geometry
-                # and --channels-per-shard, so an unknown length means the
-                # shard *plan* changed (or the bench ran with different
-                # partition flags), not merely the request routing.
+                # and the engine's channels_per_shard, so an unknown length
+                # means the shard *plan* changed, not merely the request
+                # routing.
                 print(
                     f"FAIL: {name}: shard_requests has {cur_len} shards, "
                     f"baseline has {base_len} (unknown census length — the "
-                    "shard plan changed, or the bench ran with non-baseline "
-                    "partition flags)"
+                    "shard plan changed)"
                 )
             else:
                 print(

@@ -37,10 +37,10 @@ from collections import defaultdict
 from pathlib import Path
 
 # Golden reach (percent of instrumented src/ lines, allow-list not counted),
-# as measured with GCC 12.2 at --coverage -O1: 5090 of 6036 lines (84.327%)
-# in two runs. It sits one line below that, since reach has varied by one
-# line between runs. Raise it when a change reaches more.
-FLOOR = 84.31
+# as measured with GCC 12.2 at --coverage -O1: 5059 of 5997 lines (84.359%)
+# in two runs. It sits one line below that (84.342%), since reach has varied
+# by one line between runs. Raise it when a change reaches more.
+FLOOR = 84.34
 
 # Unreached by any golden command, each pinned by the named test instead.
 # Keys are regular expressions matched against the demangled function name.

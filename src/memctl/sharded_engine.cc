@@ -53,21 +53,26 @@ Result<ShardedEngineResult> MergeShards(const ShardPlan& plan,
   SILOZ_CHECK(shard_controllers.size() == plan.shard_count());
   SILOZ_CHECK(shard_results.size() == plan.shard_count());
 
-  // Fixed-order merge: ascending shard index (socket-major, then channel
-  // block). AbsorbShard zeroes each shard controller, so their destructors
-  // flush nothing — the absorb targets own the metrics export. The
-  // model-domain per-shard census stages through ShardMetrics and folds in
-  // the same shard order, keeping registry contents thread-count-invariant.
+  // Fixed-order merge on the coordinating thread, after the serve's join:
+  // ascending shard index (socket-major, then channel block). AbsorbShard
+  // zeroes each shard controller, so their destructors flush nothing — the
+  // absorb targets own the metrics export. The model-domain per-shard census
+  // goes straight to the registry. Zero counts register no name, as in
+  // ~MemoryController; zero-ness is deterministic, so the key set is too.
   ShardedEngineResult result;
   result.shards.reserve(plan.shard_count());
   obs::Registry& registry = obs::Registry::Global();
-  obs::ShardMetrics staged;
   for (uint32_t shard = 0; shard < plan.shard_count(); ++shard) {
     const ControllerStats& stats = shard_controllers[shard]->stats();
     const std::string prefix = "engine.shard" + std::to_string(shard) + ".";
-    staged.Add(prefix + "requests", stats.requests);
-    staged.Add(prefix + "row_hits", stats.row_hits);
-    staged.Add(prefix + "row_misses", stats.row_misses);
+    const auto add = [&](const char* name, uint64_t count) {
+      if (count > 0) {
+        registry.GetCounter(prefix + name).Add(count);
+      }
+    };
+    add("requests", stats.requests);
+    add("row_hits", stats.row_hits);
+    add("row_misses", stats.row_misses);
     controllers[plan.SocketOf(shard)]->AbsorbShard(*shard_controllers[shard]);
     const EngineResult& served = shard_results[shard];
     result.elapsed_ns = std::max(result.elapsed_ns, served.elapsed_ns);
@@ -82,7 +87,6 @@ Result<ShardedEngineResult> MergeShards(const ShardPlan& plan,
     telemetry.elapsed_ns = served.elapsed_ns;
     result.shards.push_back(telemetry);
   }
-  staged.FoldInto(registry);
 
   // Conservation checker: partition + serve + merge must neither drop nor
   // duplicate a request. A violation here means a shard-dispatch bug, not a

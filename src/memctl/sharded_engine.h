@@ -266,8 +266,9 @@ namespace sharded_internal {
 // The fixed-order merge shared by every sharded serve path: walks shards in
 // ascending index (socket-major, then channel block) on the calling thread,
 // absorbing each shard controller into controllers[socket], folding elapsed
-// (max) and requests (sum), recording telemetry, and staging + folding the
-// per-shard model-domain census into the global metrics registry. Ends with
+// (max) and requests (sum), recording telemetry, and adding each nonzero
+// per-shard model-domain census count to the global metrics registry
+// (engine.shard<i>.{requests,row_hits,row_misses}). Ends with
 // the conservation check (sum of per-shard requests == expected_requests);
 // a violation is an integrity error, not a CHECK — the fault-injection
 // battery drives that path deliberately.

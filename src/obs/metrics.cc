@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
-#include <vector>
 
 #include "src/base/check.h"
 
@@ -13,27 +12,6 @@ namespace siloz::obs {
 
 const char* DomainName(Domain domain) {
   return domain == Domain::kModel ? "model" : "sched";
-}
-
-size_t ThreadShardIndex() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t index =
-      next.fetch_add(1, std::memory_order_relaxed) & (kMetricShards - 1);
-  return index;
-}
-
-uint64_t Counter::Value() const {
-  uint64_t total = 0;
-  for (const internal::CounterShard& shard : shards_) {
-    total += shard.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Counter::Reset() {
-  for (internal::CounterShard& shard : shards_) {
-    shard.value.store(0, std::memory_order_relaxed);
-  }
 }
 
 size_t HistogramBucketIndex(uint64_t value) {
@@ -71,23 +49,19 @@ uint64_t HistogramPercentile(const HistogramSnapshot& snapshot, double quantile)
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snapshot;
-  for (const Shard& shard : shards_) {
-    snapshot.count += shard.count.load(std::memory_order_relaxed);
-    snapshot.sum += shard.sum.load(std::memory_order_relaxed);
-    for (size_t b = 0; b < kHistogramBuckets; ++b) {
-      snapshot.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
-    }
+  snapshot.count = count_.load(std::memory_order_relaxed);
+  snapshot.sum = sum_.load(std::memory_order_relaxed);
+  for (size_t b = 0; b < kHistogramBuckets; ++b) {
+    snapshot.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
   }
   return snapshot;
 }
 
 void Histogram::Reset() {
-  for (Shard& shard : shards_) {
-    shard.count.store(0, std::memory_order_relaxed);
-    shard.sum.store(0, std::memory_order_relaxed);
-    for (std::atomic<uint64_t>& bucket : shard.buckets) {
-      bucket.store(0, std::memory_order_relaxed);
-    }
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
+  for (std::atomic<uint64_t>& bucket : buckets_) {
+    bucket.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -98,18 +72,17 @@ Registry& Registry::Global() {
 
 namespace {
 
-template <typename Map, typename T>
-T& GetOrCreate(Map& map, const std::string& name, Domain domain) {
+template <typename Map>
+auto& GetOrCreate(Map& map, const std::string& name, Domain domain) {
   auto [it, inserted] = map.try_emplace(name);
   if (inserted) {
     it->second.domain = domain;
-    it->second.metric = std::make_unique<T>();
   } else {
     SILOZ_CHECK(it->second.domain == domain)
         << "metric '" << name << "' re-registered in domain " << DomainName(domain)
         << ", first registered in " << DomainName(it->second.domain);
   }
-  return *it->second.metric;
+  return it->second.metric;
 }
 
 // Minimal JSON string escaping; metric names are code-controlled but the
@@ -151,70 +124,18 @@ void AppendHistogram(std::ostringstream& out, const HistogramSnapshot& snapshot)
   out << "]}";
 }
 
-}  // namespace
-
-Counter& Registry::GetCounter(const std::string& name, Domain domain) {
-  MutexLock lock(mutex_);
-  return GetOrCreate<decltype(counters_), Counter>(counters_, name, domain);
+void AppendValue(std::ostringstream& out, const Counter& counter) { out << counter.Value(); }
+void AppendValue(std::ostringstream& out, const Gauge& gauge) { out << gauge.Value(); }
+void AppendValue(std::ostringstream& out, const Histogram& histogram) {
+  AppendHistogram(out, histogram.Snapshot());
 }
 
-Gauge& Registry::GetGauge(const std::string& name, Domain domain) {
-  MutexLock lock(mutex_);
-  return GetOrCreate<decltype(gauges_), Gauge>(gauges_, name, domain);
-}
-
-Histogram& Registry::GetHistogram(const std::string& name, Domain domain) {
-  MutexLock lock(mutex_);
-  return GetOrCreate<decltype(histograms_), Histogram>(histograms_, name, domain);
-}
-
-void Registry::Reset() {
-  MutexLock lock(mutex_);
-  for (auto& [name, entry] : counters_) {
-    entry.metric->Reset();
-  }
-  for (auto& [name, entry] : gauges_) {
-    entry.metric->Reset();
-  }
-  for (auto& [name, entry] : histograms_) {
-    entry.metric->Reset();
-  }
-}
-
-std::string Registry::SectionJson(Domain domain) const {
-  MutexLock lock(mutex_);
-  std::ostringstream out;
-  out << "{\"counters\":{";
+// Writes `"key":{"name":value,...}` for the entries of `map` in `domain`.
+template <typename Map>
+void AppendSection(std::ostringstream& out, const char* key, const Map& map, Domain domain) {
+  out << "\"" << key << "\":{";
   bool first = true;
-  for (const auto& [name, entry] : counters_) {
-    if (entry.domain != domain) {
-      continue;
-    }
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "\"";
-    AppendEscaped(out, name);
-    out << "\":" << entry.metric->Value();
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, entry] : gauges_) {
-    if (entry.domain != domain) {
-      continue;
-    }
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "\"";
-    AppendEscaped(out, name);
-    out << "\":" << entry.metric->Value();
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, entry] : histograms_) {
+  for (const auto& [name, entry] : map) {
     if (entry.domain != domain) {
       continue;
     }
@@ -225,9 +146,51 @@ std::string Registry::SectionJson(Domain domain) const {
     out << "\"";
     AppendEscaped(out, name);
     out << "\":";
-    AppendHistogram(out, entry.metric->Snapshot());
+    AppendValue(out, entry.metric);
   }
-  out << "}}";
+  out << "}";
+}
+
+}  // namespace
+
+Counter& Registry::GetCounter(const std::string& name, Domain domain) {
+  MutexLock lock(mutex_);
+  return GetOrCreate(counters_, name, domain);
+}
+
+Gauge& Registry::GetGauge(const std::string& name, Domain domain) {
+  MutexLock lock(mutex_);
+  return GetOrCreate(gauges_, name, domain);
+}
+
+Histogram& Registry::GetHistogram(const std::string& name, Domain domain) {
+  MutexLock lock(mutex_);
+  return GetOrCreate(histograms_, name, domain);
+}
+
+void Registry::Reset() {
+  MutexLock lock(mutex_);
+  for (auto& [name, entry] : counters_) {
+    entry.metric.Reset();
+  }
+  for (auto& [name, entry] : gauges_) {
+    entry.metric.Reset();
+  }
+  for (auto& [name, entry] : histograms_) {
+    entry.metric.Reset();
+  }
+}
+
+std::string Registry::SectionJson(Domain domain) const {
+  MutexLock lock(mutex_);
+  std::ostringstream out;
+  out << "{";
+  AppendSection(out, "counters", counters_, domain);
+  out << ",";
+  AppendSection(out, "gauges", gauges_, domain);
+  out << ",";
+  AppendSection(out, "histograms", histograms_, domain);
+  out << "}";
   return out.str();
 }
 
@@ -236,25 +199,6 @@ std::string Registry::ToJson() const {
   out << "{\"schema\":1,\"model\":" << SectionJson(Domain::kModel)
       << ",\"sched\":" << SectionJson(Domain::kSched) << "}";
   return out.str();
-}
-
-void ShardMetrics::Add(const std::string& name, uint64_t delta, Domain domain) {
-  for (Entry& entry : entries_) {
-    if (entry.name == name) {
-      SILOZ_CHECK(entry.domain == domain) << "domain mismatch for staged metric " << name;
-      entry.value += delta;
-      return;
-    }
-  }
-  entries_.push_back(Entry{name, domain, delta});
-}
-
-void ShardMetrics::FoldInto(Registry& registry) const {
-  for (const Entry& entry : entries_) {
-    if (entry.value > 0) {
-      registry.GetCounter(entry.name, entry.domain).Add(entry.value);
-    }
-  }
 }
 
 bool WriteMetricsJson(const std::string& path) {

@@ -1,12 +1,13 @@
 // Process-wide metrics registry: named counters, gauges, and log2-bucketed
-// histograms, lock-free on the hot path and deterministic at snapshot time.
+// histograms with atomic cells, deterministic at snapshot time.
 //
-// Hot-path writes go to one of a fixed set of cache-line-padded atomic
-// shards selected by a thread-local index, so concurrent writers never
-// contend on a line. Snapshots sum the shards in shard-index order; integer
-// addition commutes, so a quiescent snapshot's totals depend only on *what*
-// was counted, never on which thread counted it or in what order — the
-// property that lets metric values join the determinism contract
+// Each metric is one set of relaxed atomics. Every write in the simulator
+// happens at a flush point — a destructor, a fold on the coordinating thread
+// after a ParallelFor join, or a serial replay — so no hot loop writes a
+// metric, and flushes that do meet stay exact because every cell is atomic.
+// Integer addition commutes, so a quiescent snapshot's totals depend only on
+// *what* was counted, never on which thread counted it or in what order —
+// the property that lets metric values join the determinism contract
 // (DESIGN.md §8/§9): model-domain metrics are bit-identical for every
 // `--threads N`.
 //
@@ -30,9 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/base/mutex.h"
 
@@ -45,36 +44,16 @@ enum class Domain : uint8_t {
 
 const char* DomainName(Domain domain);
 
-// Number of write shards per metric. A power of two so the thread-local
-// shard index reduces with a mask; 16 covers typical core counts without
-// bloating per-metric memory.
-inline constexpr size_t kMetricShards = 16;
-
-// Stable per-thread shard index in [0, kMetricShards).
-size_t ThreadShardIndex();
-
-namespace internal {
-// One cache line per shard so concurrent writers never false-share.
-struct alignas(64) CounterShard {
-  std::atomic<uint64_t> value{0};
-};
-}  // namespace internal
-
-// Monotonic event count. Add() is a single relaxed fetch_add on the calling
-// thread's shard.
+// Monotonic event count. Add() is a single relaxed fetch_add.
 class Counter {
  public:
-  void Add(uint64_t delta) {
-    shards_[ThreadShardIndex()].value.fetch_add(delta, std::memory_order_relaxed);
-  }
+  void Add(uint64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   void Increment() { Add(1); }
-
-  // Sum over shards in shard-index order. Exact once writers are quiescent.
-  uint64_t Value() const;
-  void Reset();
+  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  std::array<internal::CounterShard, kMetricShards> shards_;
+  std::atomic<uint64_t> value_{0};
 };
 
 // Last-writer-wins signed level (pool sizes, free-page counts).
@@ -114,27 +93,23 @@ uint64_t HistogramPercentile(const HistogramSnapshot& snapshot, double quantile)
 class Histogram {
  public:
   void Observe(uint64_t value) {
-    Shard& shard = shards_[ThreadShardIndex()];
-    shard.count.fetch_add(1, std::memory_order_relaxed);
-    shard.sum.fetch_add(value, std::memory_order_relaxed);
-    shard.buckets[HistogramBucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+    buckets_[HistogramBucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Merged over shards in shard-index order.
+  // Exact once writers are quiescent.
   HistogramSnapshot Snapshot() const;
   void Reset();
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> sum{0};
-    std::array<std::atomic<uint64_t>, kHistogramBuckets> buckets{};
-  };
-  std::array<Shard, kMetricShards> shards_;
+  std::atomic<uint64_t> count_{0};
+  std::atomic<uint64_t> sum_{0};
+  std::array<std::atomic<uint64_t>, kHistogramBuckets> buckets_{};
 };
 
-// Named metric store. Registration (Get*) takes a mutex — do it once and
-// cache the reference; updates through the returned handles are lock-free.
+// Named metric store. Registration (Get*) takes a mutex; updates through
+// the returned handles do not.
 class Registry {
  public:
   // The process-wide registry every instrumented component reports into.
@@ -163,47 +138,21 @@ class Registry {
   std::string SectionJson(Domain domain) const;
 
  private:
+  // Held by value: std::map nodes never move, so handles stay stable.
   template <typename T>
   struct Entry {
     Domain domain = Domain::kModel;
-    std::unique_ptr<T> metric;
+    T metric;
   };
 
   mutable Mutex mutex_;
   // std::map: iteration is name-sorted, which makes serialization order (and
   // the golden-tested schema) deterministic for free. The mutex guards the
-  // map structure (registration, serialization walks); the metric objects
-  // pointed to are lock-free and updated outside it.
+  // map structure (registration, serialization walks); the metrics in it
+  // are atomic and updated outside it.
   std::map<std::string, Entry<Counter>> counters_ GUARDED_BY(mutex_);
   std::map<std::string, Entry<Gauge>> gauges_ GUARDED_BY(mutex_);
   std::map<std::string, Entry<Histogram>> histograms_ GUARDED_BY(mutex_);
-};
-
-// Shard-local metric staging for fan-out phases (DESIGN.md §13).
-//
-// A worker task counts into a private ShardMetrics — plain integers, no
-// atomics, no registration mutex — and the coordinator folds every shard's
-// buffer into the registry *after* the barrier, in fixed shard order. The
-// folded values are sums, so they are thread-count-invariant either way;
-// what the staged fold adds is (a) a deterministic registration order for
-// names first created by worker tasks, and (b) zero registry traffic from
-// the hot loops. Entries keep first-touch order; with the shard's metric
-// set small (a handful of names), the linear probe beats a map.
-class ShardMetrics {
- public:
-  void Add(const std::string& name, uint64_t delta, Domain domain = Domain::kModel);
-
-  // Applies every staged delta to `registry` in first-touch order. Call from
-  // one thread per fold (the coordinator's merge loop).
-  void FoldInto(Registry& registry) const;
-
- private:
-  struct Entry {
-    std::string name;
-    Domain domain = Domain::kModel;
-    uint64_t value = 0;
-  };
-  std::vector<Entry> entries_;
 };
 
 // Serializes Registry::Global() to `path`. Returns false (with a message on

@@ -1,5 +1,5 @@
 // Unit battery for the observability layer (src/obs): counter / gauge /
-// histogram semantics, shard-merge determinism, snapshot idempotence, and
+// histogram semantics, concurrent-write determinism, snapshot idempotence, and
 // trace-export well-formedness. The exported JSON is parsed back with a
 // minimal recursive-descent parser defined below — the trace file must be
 // loadable by chrome://tracing, so "it looks like JSON" is not enough.
@@ -227,7 +227,7 @@ TEST(CounterTest, AddAndIncrementAccumulate) {
 }
 
 TEST(CounterTest, ConcurrentAddsSumExactly) {
-  // Every thread writes its own shard; the summed total must be exact, not
+  // Eight threads add to one cell; the total must be exact, not
   // approximate — lost updates would silently break the determinism contract.
   Counter counter;
   constexpr int kThreads = 8;
@@ -244,19 +244,6 @@ TEST(CounterTest, ConcurrentAddsSumExactly) {
     writer.join();
   }
   EXPECT_EQ(counter.Value(), kThreads * kPerThread);
-}
-
-TEST(CounterTest, ThreadShardIndexIsStableWithinAThread) {
-  const size_t here = obs::ThreadShardIndex();
-  EXPECT_LT(here, obs::kMetricShards);
-  EXPECT_EQ(obs::ThreadShardIndex(), here);
-  size_t there = obs::kMetricShards;
-  std::thread observer([&there] {
-    there = obs::ThreadShardIndex();
-    EXPECT_EQ(obs::ThreadShardIndex(), there);
-  });
-  observer.join();
-  EXPECT_LT(there, obs::kMetricShards);
 }
 
 // --- Gauge ------------------------------------------------------------------
@@ -308,10 +295,10 @@ TEST(HistogramTest, SnapshotCountsSumAndBuckets) {
   EXPECT_EQ(total, snapshot.count);
 }
 
-TEST(HistogramTest, ShardMergeMatchesSerialObservation) {
-  // The same multiset observed from 8 threads (scattered over shards) and
-  // from 1 thread must produce identical snapshots: the shard merge is a sum
-  // in shard-index order, so placement cannot show through.
+TEST(HistogramTest, ConcurrentObservationMatchesSerial) {
+  // The same multiset observed from 8 threads and from 1 thread must produce
+  // identical snapshots: every cell is a sum, so interleaving cannot show
+  // through.
   std::vector<uint64_t> samples;
   for (uint64_t i = 0; i < 4000; ++i) {
     samples.push_back(i * i % 9973);
@@ -320,13 +307,13 @@ TEST(HistogramTest, ShardMergeMatchesSerialObservation) {
   for (uint64_t sample : samples) {
     serial.Observe(sample);
   }
-  Histogram sharded;
+  Histogram concurrent;
   constexpr size_t kThreads = 8;
   std::vector<std::thread> writers;
   for (size_t t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&sharded, &samples, t] {
+    writers.emplace_back([&concurrent, &samples, t] {
       for (size_t i = t; i < samples.size(); i += kThreads) {
-        sharded.Observe(samples[i]);
+        concurrent.Observe(samples[i]);
       }
     });
   }
@@ -334,7 +321,7 @@ TEST(HistogramTest, ShardMergeMatchesSerialObservation) {
     writer.join();
   }
   const HistogramSnapshot a = serial.Snapshot();
-  const HistogramSnapshot b = sharded.Snapshot();
+  const HistogramSnapshot b = concurrent.Snapshot();
   EXPECT_EQ(a.count, b.count);
   EXPECT_EQ(a.sum, b.sum);
   for (size_t bucket = 0; bucket < obs::kHistogramBuckets; ++bucket) {

@@ -13,18 +13,24 @@
 //  - absorbing zeroes the source, so a double absorb is a no-op,
 //  - shards touch disjoint bank groups, so the census fold is a disjoint
 //    union, and
-//  - the result-level fold is elapsed = max over shards, requests = sum.
+//  - the result-level fold is elapsed = max over shards, requests = sum,
+//  - the registry's engine.shard<i>.* census equals each shard's own, and
+//    a zero count (an idle shard's every count) registers no name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/addr/decoder.h"
 #include "src/base/rng.h"
 #include "src/memctl/sharded_engine.h"
+#include "src/obs/metrics.h"
 #include "tests/support/serial_engine.h"
 
 namespace siloz {
@@ -289,6 +295,78 @@ TEST(ShardMergePropertyTest, ResultFoldIsElapsedMaxRequestsSum) {
   EXPECT_EQ(result->elapsed_ns, max_elapsed);
   EXPECT_EQ(result->requests, sum_requests);
   EXPECT_EQ(result->requests, stream.size());
+}
+
+// The engine.shard<i>.* names registered in the global registry's model
+// section.
+std::set<std::string> EngineShardNames() {
+  const std::string json = obs::Registry::Global().SectionJson(obs::Domain::kModel);
+  const std::string marker = "\"engine.shard";
+  std::set<std::string> names;
+  for (size_t at = json.find(marker); at != std::string::npos; at = json.find(marker, at + 1)) {
+    names.insert(json.substr(at + 1, json.find('"', at + 1) - at - 1));
+  }
+  return names;
+}
+
+TEST(ShardMergePropertyTest, RegistryCensusMatchesEachShardAndSkipsZeros) {
+  // A socket-0 stream on channels 0 and 3 plus a single request on channel
+  // 4: one miss and no hit. Every other shard stays idle.
+  const DramGeometry geometry;
+  struct Served {
+    uint32_t channel;
+    uint64_t seed;
+    uint64_t count;
+  };
+  const Served served[] = {{0, 21, 6000}, {3, 22, 4000}, {4, 23, 1}};
+  std::vector<MemRequest> stream;
+  for (const Served& s : served) {
+    const std::vector<MemRequest> part = ChannelStream(geometry, s.channel, s.seed, s.count);
+    stream.insert(stream.end(), part.begin(), part.end());
+  }
+  std::vector<std::unique_ptr<MemoryController>> owned;
+  std::vector<MemoryController*> controllers;
+  for (uint32_t socket = 0; socket < geometry.sockets; ++socket) {
+    owned.push_back(std::make_unique<MemoryController>(geometry, socket));
+    controllers.push_back(owned.back().get());
+  }
+  ShardedEngineConfig config;
+  config.engine = TestEngineConfig();
+  config.threads = 2;
+  obs::Registry& registry = obs::Registry::Global();
+  // Earlier tests in this process may have registered names; Reset zeroes
+  // them, and only names this run adds are checked for the zero skip.
+  registry.Reset();
+  const std::set<std::string> before = EngineShardNames();
+  ASSERT_TRUE(RunShardedClosedLoop(stream, controllers, config).ok());
+  const std::set<std::string> after = EngineShardNames();
+
+  ASSERT_EQ(ServeChannelShard(geometry, 4, 23, 1)->stats().row_hits, 0u)
+      << "the one-request shard must exercise the zero skip";
+  const ShardPlan plan(geometry, geometry.sockets, config.channels_per_shard);
+  std::set<std::string> nonzero;
+  for (const Served& s : served) {
+    // Partition keeps trace order, so the shard served exactly this
+    // channel's stream, as ServeChannelShard does alone.
+    const ControllerStats census =
+        ServeChannelShard(geometry, s.channel, s.seed, s.count)->stats();
+    const std::string prefix = "engine.shard" + std::to_string(plan.ShardOf(0, s.channel)) + ".";
+    for (const auto& [name, expected] : {std::pair{"requests", census.requests},
+                                         std::pair{"row_hits", census.row_hits},
+                                         std::pair{"row_misses", census.row_misses}}) {
+      if (expected > 0) {
+        nonzero.insert(prefix + name);
+        EXPECT_EQ(after.count(prefix + name), 1u) << prefix << name << " missing";
+        EXPECT_EQ(registry.GetCounter(prefix + name).Value(), expected) << prefix << name;
+      }
+    }
+  }
+  for (const std::string& name : after) {
+    if (nonzero.count(name) == 0) {
+      EXPECT_EQ(before.count(name), 1u) << name << " registered with count 0";
+      EXPECT_EQ(registry.GetCounter(name).Value(), 0u) << name;
+    }
+  }
 }
 
 }  // namespace
