@@ -149,9 +149,9 @@ bool RunFigure(const FigureSpec& figure, const Section& section, RunnerConfig ru
                experiment, static_cast<unsigned long long>(simulated_requests), wall_s,
                wall_s > 0.0 ? static_cast<double>(simulated_requests) / wall_s / 1e6 : 0.0);
 
-  // Per-shard throughput telemetry: requests served by each channel shard,
-  // summed over the whole grid in shard-plan order, and the host-side rate
-  // that shard sustained. Sched-domain facts, so stderr.
+  // Per-shard telemetry: requests served by each channel shard, summed over
+  // the whole grid in shard-plan order. No per-shard rate: the wall covers
+  // the whole grid, not one shard. Sched-domain facts, so stderr.
   std::vector<uint64_t> shard_totals;
   for (const RunMeasurement& measurement : *grid) {
     shard_totals.resize(measurement.shard_requests.size(), 0);
@@ -163,9 +163,8 @@ bool RunFigure(const FigureSpec& figure, const Section& section, RunnerConfig ru
     obs::Registry::Global()
         .GetCounter("bench.shard" + std::to_string(shard) + ".requests", obs::Domain::kSched)
         .Add(shard_totals[shard]);
-    std::fprintf(stderr, "%s: shard%zu served %llu requests (%.2f Mreq/s)\n", experiment, shard,
-                 static_cast<unsigned long long>(shard_totals[shard]),
-                 wall_s > 0.0 ? static_cast<double>(shard_totals[shard]) / wall_s / 1e6 : 0.0);
+    std::fprintf(stderr, "%s: shard%zu served %llu requests\n", experiment, shard,
+                 static_cast<unsigned long long>(shard_totals[shard]));
   }
   std::printf("\n");
 

@@ -17,7 +17,7 @@
 #      plain warnings, so findings are detected in the captured output.
 #   5. Clang thread-safety build when clang++ is available: compiles the
 #      tree with -Wthread-safety promoted to errors, verifying the
-#      GUARDED_BY/REQUIRES annotations.
+#      GUARDED_BY/MutexLock annotations.
 #   6. ASan+UBSan build + full test suite (sanitizer reports are fatal).
 set -euo pipefail
 

@@ -3,8 +3,10 @@
 // std::mutex and std::lock_guard carry no capability attributes, so code
 // using them directly cannot be checked by -Wthread-safety. These thin
 // wrappers add the attributes (and nothing else: Mutex is exactly a
-// std::mutex, MutexLock exactly a lock_guard). Every concurrent
-// subsystem in the tree uses them; see DESIGN.md §12 for the conventions.
+// std::mutex, MutexLock exactly a lock_guard). The state that really is
+// shared across threads uses them — the fault injector, the obs registry
+// and tracer, the RNG stream registry, and the subarray-group and workload
+// caches; see DESIGN.md §12 for the conventions.
 #ifndef SILOZ_SRC_BASE_MUTEX_H_
 #define SILOZ_SRC_BASE_MUTEX_H_
 
@@ -22,13 +24,6 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() { mu_.lock(); }
   void unlock() RELEASE() { mu_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  // Tells the analysis (not the runtime) that this mutex is held. Used at
-  // the top of lambdas that execute while the enclosing scope holds the
-  // lock — rollback closures, allocator callbacks — since
-  // the analysis examines a lambda body with an empty lock set.
-  void AssertHeld() const ASSERT_CAPABILITY(this) {}
 
  private:
   std::mutex mu_;

@@ -3,17 +3,12 @@
 // These expand to Clang's capability attributes when compiling with Clang
 // (where -Wthread-safety turns them into compile-time lock-discipline
 // checks; the CI static-analysis leg builds with -Werror=thread-safety) and
-// to nothing elsewhere, so GCC builds are unaffected. The macro set and
-// naming follow the Clang documentation and Abseil's thread_annotations.h.
+// to nothing elsewhere, so GCC builds are unaffected. Naming follows the
+// Clang documentation and Abseil's thread_annotations.h; only the macros the
+// tree uses are defined.
 //
-// Conventions in this codebase (DESIGN.md §12):
-//  - Every member protected by a siloz::Mutex is declared GUARDED_BY(mu).
-//  - Private helpers that assume the lock is already held are annotated
-//    REQUIRES(mu) and named *Locked.
-//  - Lambdas that run while the enclosing scope holds the lock (rollback
-//    closures, allocator callbacks, condition-variable predicates) call
-//    mu.AssertHeld() first, because the analysis examines a lambda body
-//    without the enclosing function's lock set.
+// Convention (DESIGN.md §12): every member protected by a siloz::Mutex is
+// declared GUARDED_BY(mu) and touched only under a MutexLock on mu.
 #ifndef SILOZ_SRC_BASE_THREAD_ANNOTATIONS_H_
 #define SILOZ_SRC_BASE_THREAD_ANNOTATIONS_H_
 
@@ -25,37 +20,13 @@
 
 // Data members (and globals): which capability protects them.
 #define GUARDED_BY(x) SILOZ_THREAD_ANNOTATION(guarded_by(x))
-#define PT_GUARDED_BY(x) SILOZ_THREAD_ANNOTATION(pt_guarded_by(x))
-
-// Lock-ordering declarations.
-#define ACQUIRED_BEFORE(...) SILOZ_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
-#define ACQUIRED_AFTER(...) SILOZ_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
-
-// Function preconditions: capabilities that must (not) be held on entry.
-#define REQUIRES(...) SILOZ_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) SILOZ_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
-#define EXCLUDES(...) SILOZ_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
 // Functions that acquire / release capabilities.
 #define ACQUIRE(...) SILOZ_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) SILOZ_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) SILOZ_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) SILOZ_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-#define RELEASE_GENERIC(...) SILOZ_THREAD_ANNOTATION(release_generic_capability(__VA_ARGS__))
-#define TRY_ACQUIRE(...) SILOZ_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-  SILOZ_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
-
-// Runtime assertion that a capability is held (establishes it for analysis).
-#define ASSERT_CAPABILITY(x) SILOZ_THREAD_ANNOTATION(assert_capability(x))
-#define ASSERT_SHARED_CAPABILITY(x) SILOZ_THREAD_ANNOTATION(assert_shared_capability(x))
 
 // Type declarations.
 #define CAPABILITY(x) SILOZ_THREAD_ANNOTATION(capability(x))
 #define SCOPED_CAPABILITY SILOZ_THREAD_ANNOTATION(scoped_lockable)
-#define RETURN_CAPABILITY(x) SILOZ_THREAD_ANNOTATION(lock_returned(x))
-
-// Opt-out for functions the analysis cannot model.
-#define NO_THREAD_SAFETY_ANALYSIS SILOZ_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 #endif  // SILOZ_SRC_BASE_THREAD_ANNOTATIONS_H_

@@ -37,7 +37,6 @@ SilozHypervisor::~SilozHypervisor() {
   // count or timing (see DESIGN.md on the metrics determinism contract).
   // Zero counts are skipped; zero-ness is deterministic, so the exported
   // key set still matches across thread counts.
-  MutexLock lock(mu_);
   obs::Registry& registry = obs::Registry::Global();
   const auto flush = [&registry](const char* name, uint64_t value) {
     if (value > 0) {
@@ -56,7 +55,6 @@ SilozHypervisor::~SilozHypervisor() {
 
 Status SilozHypervisor::Boot() {
   obs::TraceSpan span("hv.Boot");
-  MutexLock lock(mu_);
   if (booted_) {
     return MakeError(ErrorCode::kFailedPrecondition, "already booted");
   }
@@ -317,7 +315,6 @@ Status SilozHypervisor::ReserveEptBlocks() {
 
 Result<uint64_t> SilozHypervisor::AllocatePages(const ControlGroup& group, uint32_t node_id,
                                                 uint32_t order, bool unmediated) {
-  MutexLock lock(mu_);
   if (!booted_) {
     return MakeError(ErrorCode::kFailedPrecondition, "not booted");
   }
@@ -350,22 +347,12 @@ Result<uint64_t> SilozHypervisor::AllocatePages(const ControlGroup& group, uint3
 }
 
 Status SilozHypervisor::FreePages(uint32_t node_id, uint64_t phys, uint32_t order) {
-  MutexLock lock(mu_);
-  return FreePagesLocked(node_id, phys, order);
-}
-
-Status SilozHypervisor::FreePagesLocked(uint32_t node_id, uint64_t phys, uint32_t order) {
   Result<NumaNode*> node = nodes_.Get(node_id);
   SILOZ_RETURN_IF_ERROR(node);
   return (*node)->allocator().Free(phys, order);
 }
 
 std::vector<uint32_t> SilozHypervisor::AvailableGuestNodes(uint32_t socket) const {
-  MutexLock lock(mu_);
-  return AvailableGuestNodesLocked(socket);
-}
-
-std::vector<uint32_t> SilozHypervisor::AvailableGuestNodesLocked(uint32_t socket) const {
   std::vector<uint32_t> available;
   for (const auto& node : const_cast<NodeRegistry&>(nodes_).NodesOnSocket(socket)) {
     if (node->kind() == NodeKind::kGuestReserved && node_owner_.count(node->id()) == 0) {
@@ -387,7 +374,6 @@ EptPageAllocator SilozHypervisor::MakeEptAllocator(uint32_t socket,
   if (config_.enabled && config_.ept_protection == EptProtection::kGuardRows) {
     // The GFP_EPT path (§5.4): pages come from the protected row group.
     return [this, socket, pages_out]() -> Result<uint64_t> {
-      mu_.AssertHeld();  // runs inside BuildTable
       if (ept_pool_[socket].empty()) {
         return MakeError(ErrorCode::kNoMemory, "EPT pool exhausted");
       }
@@ -402,7 +388,6 @@ EptPageAllocator SilozHypervisor::MakeEptAllocator(uint32_t socket,
   // Baseline / secure-EPT: ordinary host-node memory.
   const uint32_t host_node = host_node_by_socket_[socket];
   return [this, host_node, pages_out]() -> Result<uint64_t> {
-    mu_.AssertHeld();  // runs inside BuildTable
     Result<NumaNode*> node = nodes_.Get(host_node);
     SILOZ_RETURN_IF_ERROR(node);
     Result<uint64_t> page = (*node)->allocator().Allocate(kOrder4K);
@@ -420,7 +405,7 @@ Status SilozHypervisor::ReturnTablePages(uint32_t socket, std::vector<uint64_t>&
     if (guard_rows) {
       ept_pool_[socket].push_back(pages.back());
     } else {
-      SILOZ_RETURN_IF_ERROR(FreePagesLocked(host_node_by_socket_[socket], pages.back(), kOrder4K));
+      SILOZ_RETURN_IF_ERROR(FreePages(host_node_by_socket_[socket], pages.back(), kOrder4K));
     }
     pages.pop_back();
     SILOZ_CHECK_GT(ept_pages_held_, 0u);
@@ -487,7 +472,6 @@ Result<SilozHypervisor::Placement> SilozHypervisor::StagePlacement(const VmConfi
   auto log_backing = [&](const Backing& run) {
     placement.backing.push_back(run);
     txn.OnRollback([this, run] {
-      mu_.AssertHeld();  // txn unwinds inside a lifecycle entry point
       Backing remaining = run;
       SILOZ_CHECK(FreeBackingBlocks(remaining).ok())
           << "rollback failed to free backing at " << run.phys;
@@ -516,7 +500,7 @@ Result<SilozHypervisor::Placement> SilozHypervisor::StagePlacement(const VmConfi
     // few rows off a group).
     std::vector<uint32_t> selected;
     uint64_t capacity = 0;
-    for (uint32_t node_id : AvailableGuestNodesLocked(socket)) {
+    for (uint32_t node_id : AvailableGuestNodes(socket)) {
       if (capacity >= unmediated_bytes) {
         break;
       }
@@ -533,10 +517,7 @@ Result<SilozHypervisor::Placement> SilozHypervisor::StagePlacement(const VmConfi
     uint64_t remaining = unmediated_bytes;
     for (uint32_t node_id : selected) {
       node_owner_[node_id] = owner;
-      txn.OnRollback([this, node_id] {
-        mu_.AssertHeld();
-        node_owner_.erase(node_id);
-      });
+      txn.OnRollback([this, node_id] { node_owner_.erase(node_id); });
       NumaNode& node = *nodes_.Get(node_id).value();
       placement.nodes.emplace_back(node_id, node.first_group());
       const uint64_t chunk =
@@ -582,7 +563,6 @@ Result<std::unique_ptr<ExtendedPageTable>> SilozHypervisor::BuildTable(
   // exhausted: a real capacity limit — one row group per socket bounds the
   // EPT working set, §5.4), so the undo returns whatever was drawn.
   txn.OnRollback([this, socket, &pages] {
-    mu_.AssertHeld();  // txn unwinds inside a lifecycle or device entry point
     SILOZ_CHECK(ReturnTablePages(socket, pages).ok()) << "rollback failed to return a table page";
   });
   Result<std::unique_ptr<ExtendedPageTable>> table = ExtendedPageTable::Create(
@@ -645,12 +625,7 @@ Status SilozHypervisor::AuditTable(const char* kind, const ExtendedPageTable& ta
 }
 
 Result<VmId> SilozHypervisor::CreateVm(const VmConfig& vm_config) {
-  MutexLock lock(mu_);
   obs::TraceSpan span("hv.CreateVm");
-  return CreateVmLocked(vm_config);
-}
-
-Result<VmId> SilozHypervisor::CreateVmLocked(const VmConfig& vm_config) {
   if (!booted_) {
     return MakeError(ErrorCode::kFailedPrecondition, "not booted");
   }
@@ -693,10 +668,7 @@ Result<VmId> SilozHypervisor::CreateVmLocked(const VmConfig& vm_config) {
   // reservation — the rollback registered next erases it, so no phantom
   // entry survives a failed create.
   std::vector<uint64_t>& ept_pages = vm_ept_pages_[id];
-  txn.OnRollback([this, id] {
-    mu_.AssertHeld();  // txn unwinds inside CreateVmLocked
-    vm_ept_pages_.erase(id);
-  });
+  txn.OnRollback([this, id] { vm_ept_pages_.erase(id); });
   Result<std::unique_ptr<ExtendedPageTable>> ept =
       BuildTable(vm_config.socket, vm->regions(), ept_pages, txn);
   SILOZ_RETURN_IF_ERROR(ept);
@@ -711,11 +683,6 @@ Result<VmId> SilozHypervisor::CreateVmLocked(const VmConfig& vm_config) {
 }
 
 Result<Vm*> SilozHypervisor::GetVm(VmId id) {
-  MutexLock lock(mu_);
-  return GetVmLocked(id);
-}
-
-Result<Vm*> SilozHypervisor::GetVmLocked(VmId id) {
   auto it = vms_.find(id);
   if (it == vms_.end()) {
     return MakeError(ErrorCode::kNotFound, "no VM " + std::to_string(id));
@@ -724,11 +691,6 @@ Result<Vm*> SilozHypervisor::GetVmLocked(VmId id) {
 }
 
 Status SilozHypervisor::DestroyVm(VmId id) {
-  MutexLock lock(mu_);
-  return DestroyVmLocked(id);
-}
-
-Status SilozHypervisor::DestroyVmLocked(VmId id) {
   auto it = vms_.find(id);
   if (it == vms_.end()) {
     return MakeError(ErrorCode::kNotFound, "no VM " + std::to_string(id));
@@ -736,6 +698,18 @@ Status SilozHypervisor::DestroyVmLocked(VmId id) {
   Vm& vm = *it->second;
   if (destroyed_vms_.count(id) != 0) {
     return Status::Ok();  // idempotent: already torn down
+  }
+  // Devices first: their IOMMU tables map this backing, and a device left
+  // behind would reach whatever tenant is placed there next. Each removal
+  // returns its table pages resumably, so a retry picks up where a failure
+  // stopped.
+  for (auto device = devices_.begin(); device != devices_.end();) {
+    const uint32_t device_id = device->first;
+    const bool attached = device->second.vm == id;
+    ++device;  // RemovePassthroughDevice erases device_id's entry
+    if (attached) {
+      SILOZ_RETURN_IF_ERROR(RemovePassthroughDevice(device_id));
+    }
   }
   // Free backing memory to its nodes (§5.3: pages return to the nodes' free
   // pools; the node reservation itself survives until ReleaseVmNodes).
@@ -765,11 +739,6 @@ Status SilozHypervisor::DestroyVmLocked(VmId id) {
 }
 
 Status SilozHypervisor::ReleaseVmNodes(VmId id) {
-  MutexLock lock(mu_);
-  return ReleaseVmNodesLocked(id);
-}
-
-Status SilozHypervisor::ReleaseVmNodesLocked(VmId id) {
   if (destroyed_vms_.count(id) == 0) {
     return MakeError(ErrorCode::kFailedPrecondition,
                      "VM " + std::to_string(id) + " must be destroyed first");
@@ -789,12 +758,7 @@ Status SilozHypervisor::ReleaseVmNodesLocked(VmId id) {
 }
 
 Status SilozHypervisor::MigrateVm(VmId id, uint32_t target_socket) {
-  MutexLock lock(mu_);
   obs::TraceSpan span("hv.MigrateVm");
-  return MigrateVmLocked(id, target_socket);
-}
-
-Status SilozHypervisor::MigrateVmLocked(VmId id, uint32_t target_socket) {
   if (!booted_) {
     return MakeError(ErrorCode::kFailedPrecondition, "not booted");
   }
@@ -840,7 +804,7 @@ Status SilozHypervisor::MigrateVmLocked(VmId id, uint32_t target_socket) {
   // The EPT object keeps its page allocator for life, so the vector the
   // allocator fills must outlive this function: stash the source pages in a
   // local and reuse the VM's stable map node for the target pages — the same
-  // lifetime contract CreateVmLocked relies on. This undo runs after
+  // lifetime contract CreateVm relies on. This undo runs after
   // BuildTable's has returned the target pages, and restores the source set.
   auto pages_it = vm_ept_pages_.find(id);
   SILOZ_CHECK(pages_it != vm_ept_pages_.end());
@@ -906,16 +870,11 @@ Status SilozHypervisor::MigrateVmLocked(VmId id, uint32_t target_socket) {
 
   // The committed placement must still prove isolation on the target groups
   // before the caller trusts it.
-  SILOZ_RETURN_IF_ERROR(AuditVmIsolationLocked(id));
+  SILOZ_RETURN_IF_ERROR(AuditVmIsolation(id));
   return Status::Ok();
 }
 
 Status SilozHypervisor::AuditVmIsolation(VmId id) const {
-  MutexLock lock(mu_);
-  return AuditVmIsolationLocked(id);
-}
-
-Status SilozHypervisor::AuditVmIsolationLocked(VmId id) const {
   auto it = vms_.find(id);
   if (it == vms_.end()) {
     return MakeError(ErrorCode::kNotFound, "no VM " + std::to_string(id));
@@ -926,8 +885,7 @@ Status SilozHypervisor::AuditVmIsolationLocked(VmId id) const {
 }
 
 Result<uint32_t> SilozHypervisor::AssignPassthroughDevice(VmId vm_id, const std::string& name) {
-  MutexLock lock(mu_);
-  Result<Vm*> vm = GetVmLocked(vm_id);
+  Result<Vm*> vm = GetVm(vm_id);
   SILOZ_RETURN_IF_ERROR(vm);
   if (destroyed_vms_.count(vm_id) != 0) {
     return MakeError(ErrorCode::kFailedPrecondition, "VM is destroyed");
@@ -951,7 +909,6 @@ Result<uint32_t> SilozHypervisor::AssignPassthroughDevice(VmId vm_id, const std:
 }
 
 Result<uint64_t> SilozHypervisor::DeviceDma(uint32_t device_id, uint64_t iova) {
-  MutexLock lock(mu_);
   auto it = devices_.find(device_id);
   if (it == devices_.end()) {
     return MakeError(ErrorCode::kNotFound, "no device " + std::to_string(device_id));
@@ -968,7 +925,7 @@ Result<uint64_t> SilozHypervisor::DeviceDma(uint32_t device_id, uint64_t iova) {
   }
   // Defense in depth: the translated address must stay inside the owning
   // VM's provisioned ranges, else the table was corrupted.
-  Result<Vm*> vm = GetVmLocked(device.vm);
+  Result<Vm*> vm = GetVm(device.vm);
   SILOZ_RETURN_IF_ERROR(vm);
   for (const PhysRange& range : (*vm)->AllowedHpaRanges()) {
     if (range.Contains(*hpa)) {
@@ -982,7 +939,6 @@ Result<uint64_t> SilozHypervisor::DeviceDma(uint32_t device_id, uint64_t iova) {
 }
 
 Status SilozHypervisor::AuditDeviceIsolation(uint32_t device_id) const {
-  MutexLock lock(mu_);
   auto it = devices_.find(device_id);
   if (it == devices_.end()) {
     return MakeError(ErrorCode::kNotFound, "no device " + std::to_string(device_id));
@@ -993,11 +949,6 @@ Status SilozHypervisor::AuditDeviceIsolation(uint32_t device_id) const {
 }
 
 Status SilozHypervisor::RemovePassthroughDevice(uint32_t device_id) {
-  MutexLock lock(mu_);
-  return RemovePassthroughDeviceLocked(device_id);
-}
-
-Status SilozHypervisor::RemovePassthroughDeviceLocked(uint32_t device_id) {
   auto it = devices_.find(device_id);
   if (it == devices_.end()) {
     return MakeError(ErrorCode::kNotFound, "no device " + std::to_string(device_id));
@@ -1009,7 +960,6 @@ Status SilozHypervisor::RemovePassthroughDeviceLocked(uint32_t device_id) {
 }
 
 Result<std::vector<uint64_t>> SilozHypervisor::DeviceTablePages(uint32_t device_id) const {
-  MutexLock lock(mu_);
   auto it = devices_.find(device_id);
   if (it == devices_.end()) {
     return MakeError(ErrorCode::kNotFound, "no device " + std::to_string(device_id));
@@ -1019,26 +969,22 @@ Result<std::vector<uint64_t>> SilozHypervisor::DeviceTablePages(uint32_t device_
 
 Status SilozHypervisor::HostShutdown() {
   // Privileged teardown: kill every VM and release every reservation,
-  // ignoring active subarray-group constraints (§5.3).
-  MutexLock lock(mu_);
-  while (!devices_.empty()) {
-    SILOZ_RETURN_IF_ERROR(RemovePassthroughDeviceLocked(devices_.begin()->first));
-  }
+  // ignoring active subarray-group constraints (§5.3). DestroyVm detaches
+  // each VM's devices.
   std::vector<VmId> ids;
   for (const auto& [id, vm] : vms_) {
     ids.push_back(id);
   }
   for (VmId id : ids) {
     if (destroyed_vms_.count(id) == 0) {
-      SILOZ_RETURN_IF_ERROR(DestroyVmLocked(id));
+      SILOZ_RETURN_IF_ERROR(DestroyVm(id));
     }
-    SILOZ_RETURN_IF_ERROR(ReleaseVmNodesLocked(id));
+    SILOZ_RETURN_IF_ERROR(ReleaseVmNodes(id));
   }
   return Status::Ok();
 }
 
 size_t SilozHypervisor::ept_pool_free(uint32_t socket) const {
-  MutexLock lock(mu_);
   SILOZ_CHECK_LT(socket, ept_pool_.size());
   return ept_pool_[socket].size();
 }

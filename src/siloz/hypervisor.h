@@ -18,7 +18,6 @@
 
 #include "src/addr/decoder.h"
 #include "src/addr/subarray_group.h"
-#include "src/base/mutex.h"
 #include "src/base/result.h"
 #include "src/base/transaction.h"
 #include "src/ept/ept.h"
@@ -30,14 +29,12 @@
 
 namespace siloz {
 
-// Thread-safety: the VM lifecycle (CreateVm/DestroyVm/ReleaseVmNodes/
-// HostShutdown), the passthrough-device plane, and the allocation-policy
-// entry points are serialized on one internal mutex, so concurrent callers
-// are safe but gain no parallelism (the fleet-churn simulator therefore
-// replays serially). Boot() must still happen-before any other call, and the
-// objects reachable by reference — nodes(), cgroups(), Vm* from GetVm() —
-// are only mutated under that mutex by lifecycle operations; callers that
-// mutate them directly need external synchronization.
+// Thread-safety: one thread at a time, like the other model objects — the
+// memory-management plane is serial, and the fleet-churn simulator replays
+// its lifecycle serially. Once Boot() returns, the boot-time layout
+// (NodeOfGroup, ept_pool_ranges, group_map) may be read from many threads
+// while no lifecycle call runs. Distinct instances share no state and may run
+// concurrently.
 class SilozHypervisor {
  public:
   // `decoder` is the platform's fixed physical-to-media mapping; `memory` is
@@ -62,9 +59,10 @@ class SilozHypervisor {
   // unmediated regions, and builds its EPT via the GFP_EPT path.
   Result<VmId> CreateVm(const VmConfig& vm_config);
 
-  // Frees the VM's memory to its nodes' free pools. Per §5.3 the nodes stay
-  // reserved until the control group is destroyed (ReleaseVmNodes).
-  // Idempotent: destroying an already-destroyed VM is a no-op returning Ok.
+  // Removes the VM's passthrough devices (their IOMMU tables map its
+  // backing), then frees the VM's memory to its nodes' free pools. Per §5.3
+  // the nodes stay reserved until the control group is destroyed
+  // (ReleaseVmNodes). Idempotent: destroying an already-destroyed VM is a no-op returning Ok.
   // On a mid-teardown failure the freed prefix is recorded, so a retry after
   // the fault clears resumes where it stopped instead of double-freeing.
   Status DestroyVm(VmId id);
@@ -174,41 +172,17 @@ class SilozHypervisor {
   // --- Conservation bookkeeping (tested by the fault-injection sweep) ---
 
   // Guest nodes currently reserved by some VM cgroup.
-  size_t owned_node_count() const {
-    MutexLock lock(mu_);
-    return node_owner_.size();
-  }
+  size_t owned_node_count() const { return node_owner_.size(); }
   // Live entries in the per-VM backing / EPT-page maps. A failed CreateVm
   // must leave no phantom entry behind.
-  size_t backing_map_entries() const {
-    MutexLock lock(mu_);
-    return vm_backing_.size();
-  }
-  size_t ept_page_map_entries() const {
-    MutexLock lock(mu_);
-    return vm_ept_pages_.size();
-  }
+  size_t backing_map_entries() const { return vm_backing_.size(); }
+  size_t ept_page_map_entries() const { return vm_ept_pages_.size(); }
   // EPT/IOMMU table pages drawn from MakeEptAllocator and not yet returned.
-  uint64_t ept_pages_held() const {
-    MutexLock lock(mu_);
-    return ept_pages_held_;
-  }
+  uint64_t ept_pages_held() const { return ept_pages_held_; }
 
  private:
   struct Backing;    // defined below
   struct Placement;  // defined in hypervisor.cc
-
-  // Lock-requiring bodies of the public lifecycle/device entry points, for
-  // callers that already hold mu_ (HostShutdown, the device plane).
-  Result<VmId> CreateVmLocked(const VmConfig& vm_config) REQUIRES(mu_);
-  Status MigrateVmLocked(VmId id, uint32_t target_socket) REQUIRES(mu_);
-  Status AuditVmIsolationLocked(VmId id) const REQUIRES(mu_);
-  Status DestroyVmLocked(VmId id) REQUIRES(mu_);
-  Status ReleaseVmNodesLocked(VmId id) REQUIRES(mu_);
-  Result<Vm*> GetVmLocked(VmId id) REQUIRES(mu_);
-  Status RemovePassthroughDeviceLocked(uint32_t device_id) REQUIRES(mu_);
-  Status FreePagesLocked(uint32_t node_id, uint64_t phys, uint32_t order) REQUIRES(mu_);
-  std::vector<uint32_t> AvailableGuestNodesLocked(uint32_t socket) const REQUIRES(mu_);
 
   // Physical extent of row group `row` in (socket, cluster): verifies the
   // decoder keeps row groups contiguous (kUnsupported otherwise).
@@ -217,14 +191,14 @@ class SilozHypervisor {
   // Reserve the §5.4 EPT block in the first host group of each socket:
   // offline the b-1 guard row groups, seed the EPT pool from the EPT row
   // group.
-  Status ReserveEptBlocks() REQUIRES(mu_);
+  Status ReserveEptBlocks();
   Status OfflineArtificialBoundaryGuards();
   // §6 row-repair handling: offline every page with bytes in a quarantined
   // (inter-subarray-repaired) row.
   Status QuarantineRepairedRows();
 
-  // The returned allocator runs inside BuildTable with mu_ held (its body
-  // asserts so).
+  // The table-page source BuildTable draws from: the protected pool in
+  // guard-row mode, else the socket's host node.
   EptPageAllocator MakeEptAllocator(uint32_t socket, std::vector<uint64_t>* pages_out);
 
   // --- The one placement path: CreateVm, MigrateVm and passthrough ---
@@ -235,8 +209,7 @@ class SilozHypervisor {
   // order, and the mediated MMIO window after it. Every reservation registers
   // its undo on `txn`; nothing is published to a Vm or a cgroup.
   Result<Placement> StagePlacement(const VmConfig& vm_config, uint32_t socket,
-                                   const std::string& owner, ReservationTransaction& txn)
-      REQUIRES(mu_);
+                                   const std::string& owner, ReservationTransaction& txn);
 
   // Builds a translation table — a VM's EPT or a device's IOMMU table — from
   // `socket`'s table-page source (§5.4), mapping every unmediated region with
@@ -244,19 +217,18 @@ class SilozHypervisor {
   // table and `txn`; `txn` gets the undo that returns them.
   Result<std::unique_ptr<ExtendedPageTable>> BuildTable(
       uint32_t socket, const std::vector<VmRegion>& regions, std::vector<uint64_t>& pages,
-      ReservationTransaction& txn) REQUIRES(mu_);
+      ReservationTransaction& txn);
 
   // Re-walks `table` over `vm`'s unmediated regions and, in guard-row mode,
   // checks its pages lie in the protected row group. `kind` ("EPT" or
   // "IOMMU") prefixes the error.
-  Status AuditTable(const char* kind, const ExtendedPageTable& table, const Vm& vm) const
-      REQUIRES(mu_);
+  Status AuditTable(const char* kind, const ExtendedPageTable& table, const Vm& vm) const;
 
   // Returns table pages drawn from MakeEptAllocator(socket, ...), newest
   // first, to the protected pool in guard mode, else to the socket's host
   // node. Each page is popped as it goes, so a failure leaves `pages` holding
   // exactly the unreturned ones and a retry resumes there.
-  Status ReturnTablePages(uint32_t socket, std::vector<uint64_t>& pages) REQUIRES(mu_);
+  Status ReturnTablePages(uint32_t socket, std::vector<uint64_t>& pages);
 
   // Free `backing` block by block, recording progress in place: each freed
   // block advances backing.phys and shrinks backing.bytes, so a failure
@@ -264,7 +236,7 @@ class SilozHypervisor {
   Status FreeBackingBlocks(Backing& backing);
 
   // Refresh the hv.ept.* scheduler-domain gauges after pool/held changes.
-  void UpdateEptGauges() REQUIRES(mu_);
+  void UpdateEptGauges();
 
   // Logical node owning a global subarray group id.
   Result<NumaNode*> NodeFor(uint32_t group);
@@ -275,8 +247,8 @@ class SilozHypervisor {
   bool booted_ = false;
 
   // Lifetime event counts, flushed to the metrics registry at destruction.
-  // Mutable because const paths (audits, DMA translation) still detect and
-  // count integrity violations.
+  // Mutable because the const audits still detect and count integrity
+  // violations.
   struct HvCounters {
     uint64_t alloc_pages = 0;      // successful AllocatePages blocks
     uint64_t alloc_denied = 0;     // kPermissionDenied by allocation policy
@@ -288,12 +260,7 @@ class SilozHypervisor {
     uint64_t ept_violations = 0;   // kIntegrityViolation detections
   };
 
-  // Serializes the VM lifecycle, the device plane, the allocation-policy
-  // entry points, and the bookkeeping below. Mutable so const paths (audits,
-  // DMA translation) can serialize their violation counting.
-  mutable Mutex mu_;
-
-  mutable HvCounters obs_counts_ GUARDED_BY(mu_);
+  mutable HvCounters obs_counts_;
 
   uint32_t effective_rows_per_subarray_ = 0;
   bool using_artificial_groups_ = false;
@@ -302,14 +269,14 @@ class SilozHypervisor {
   CgroupRegistry cgroups_;
 
   // node id -> owning VM cgroup name (empty when free).
-  std::map<uint32_t, std::string> node_owner_ GUARDED_BY(mu_);
-  // Boot-time-only layout (stable after Boot(); read without the lock).
+  std::map<uint32_t, std::string> node_owner_;
+  // Boot-time-only layout (stable after Boot()).
   std::vector<uint32_t> host_node_by_socket_;
   // global subarray group id -> node id (Siloz mode only).
   std::vector<uint32_t> node_of_group_;
 
   // Per-socket EPT page pools (guard-row mode).
-  std::vector<std::vector<uint64_t>> ept_pool_ GUARDED_BY(mu_);
+  std::vector<std::vector<uint64_t>> ept_pool_;
   std::vector<std::vector<PhysRange>> ept_pool_ranges_;
   uint64_t ept_reserved_bytes_ = 0;
   uint64_t artificial_guard_bytes_ = 0;
@@ -321,16 +288,16 @@ class SilozHypervisor {
     std::unique_ptr<ExtendedPageTable> iommu;
     std::vector<uint64_t> table_pages;
   };
-  std::map<uint32_t, PassthroughDevice> devices_ GUARDED_BY(mu_);
-  uint32_t next_device_id_ GUARDED_BY(mu_) = 1;
+  std::map<uint32_t, PassthroughDevice> devices_;
+  uint32_t next_device_id_ = 1;
 
-  VmId next_vm_id_ GUARDED_BY(mu_) = 1;
-  std::map<VmId, std::unique_ptr<Vm>> vms_ GUARDED_BY(mu_);
-  std::set<VmId> destroyed_vms_ GUARDED_BY(mu_);
+  VmId next_vm_id_ = 1;
+  std::map<VmId, std::unique_ptr<Vm>> vms_;
+  std::set<VmId> destroyed_vms_;
   // Per-VM EPT pages (for release on destroy).
-  std::map<VmId, std::vector<uint64_t>> vm_ept_pages_ GUARDED_BY(mu_);
+  std::map<VmId, std::vector<uint64_t>> vm_ept_pages_;
   // Table pages handed out by MakeEptAllocator and not yet returned.
-  uint64_t ept_pages_held_ GUARDED_BY(mu_) = 0;
+  uint64_t ept_pages_held_ = 0;
   // Per-VM backing allocations.
   struct Backing {
     uint32_t node;
@@ -338,7 +305,7 @@ class SilozHypervisor {
     uint64_t bytes;
     uint32_t order;  // block order the run was allocated in
   };
-  std::map<VmId, std::vector<Backing>> vm_backing_ GUARDED_BY(mu_);
+  std::map<VmId, std::vector<Backing>> vm_backing_;
 };
 
 }  // namespace siloz

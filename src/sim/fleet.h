@@ -21,11 +21,10 @@
 //     socket after another in id order. A socket's admission decisions
 //     depend only on that socket's state (its guest nodes, its EPT pool, its
 //     host node — all disjoint by construction), so the socket order never
-//     changes an outcome. The replay is serial on purpose: every hypervisor
-//     entry point takes one lock, so socket-parallel replay only added lock
-//     contention and ran slower with more workers. VM ids follow the replay
-//     order and never appear in deterministic output; trace names are the
-//     keys.
+//     changes an outcome. The replay is serial on purpose: every socket
+//     shares one hypervisor, and a hypervisor is driven by one thread at a
+//     time (see SilozHypervisor). VM ids follow the replay order and never
+//     appear in deterministic output; trace names are the keys.
 //
 //  3. Epoch boundaries. After every socket reaches the epoch's horizon, the
 //     cross-socket work runs: the defragmentation policy (MigrateVm donors

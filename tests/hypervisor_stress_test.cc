@@ -8,7 +8,6 @@
 //   I5  full teardown restores boot-time capacity exactly.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <set>
 
@@ -16,7 +15,6 @@
 #include "src/audit/auditor.h"
 #include "src/base/fault_injector.h"
 #include "src/base/rng.h"
-#include "src/base/thread_pool.h"
 #include "src/base/units.h"
 #include "src/ept/phys_memory.h"
 #include "src/siloz/conservation.h"
@@ -135,52 +133,6 @@ TEST_P(HypervisorStress, RandomChurnKeepsInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HypervisorStress, ::testing::Values(11u, 23u, 47u));
-
-// Concurrent lifecycle churn (ROADMAP item 1): the hypervisor's internal
-// mutex serializes create/destroy/release, so pool workers may churn VMs on
-// one shared instance. Workers race real allocations — capacity misses are
-// legitimate when peers hold all guest nodes — and after the pool drains,
-// boot-time capacity and the full conservation snapshot must be restored
-// exactly. Run under TSan this also checks the lock annotations describe
-// reality, not just satisfy -Wthread-safety.
-TEST(HypervisorConcurrentChurn, ParallelLifecycleRestoresCapacity) {
-  DramGeometry geometry;
-  SkylakeDecoder decoder(geometry);
-  FlatPhysMemory memory;
-  SilozHypervisor hypervisor(decoder, memory, SilozConfig{});
-  ASSERT_TRUE(hypervisor.Boot().ok());
-
-  const size_t boot_nodes_s0 = hypervisor.AvailableGuestNodes(0).size();
-  const size_t boot_nodes_s1 = hypervisor.AvailableGuestNodes(1).size();
-  const ConservationSnapshot before = CaptureConservation(hypervisor);
-
-  constexpr uint64_t kWorkers = 8;
-  constexpr uint32_t kRoundsPerWorker = 12;
-  std::atomic<uint32_t> creates{0};
-  std::atomic<uint32_t> capacity_misses{0};
-  ParallelFor(static_cast<uint32_t>(kWorkers), kWorkers, [&](uint64_t worker) {
-    for (uint32_t round = 0; round < kRoundsPerWorker; ++round) {
-      VmConfig config;
-      config.name = "churn-" + std::to_string(worker) + "-" + std::to_string(round);
-      config.memory_bytes = 1536_MiB;
-      config.socket = static_cast<uint32_t>(worker % 2);
-      Result<VmId> id = hypervisor.CreateVm(config);
-      if (!id.ok()) {
-        capacity_misses.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      creates.fetch_add(1, std::memory_order_relaxed);
-      EXPECT_TRUE(hypervisor.AuditVmIsolation(*id).ok());
-      EXPECT_TRUE(hypervisor.DestroyVm(*id).ok());
-      EXPECT_TRUE(hypervisor.ReleaseVmNodes(*id).ok());
-    }
-  });
-
-  EXPECT_GT(creates.load(), 0u) << "every create hit capacity; churn vacuous";
-  EXPECT_EQ(hypervisor.AvailableGuestNodes(0).size(), boot_nodes_s0);
-  EXPECT_EQ(hypervisor.AvailableGuestNodes(1).size(), boot_nodes_s1);
-  EXPECT_EQ(DiffConservation(before, CaptureConservation(hypervisor)), "");
-}
 
 // Same churn, but every CreateVm runs under a randomly armed allocation
 // fault and destroys occasionally race an injected free failure. Either

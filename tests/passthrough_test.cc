@@ -179,6 +179,52 @@ TEST_F(PassthroughTest, DeviceOnDestroyedVmRejected) {
   EXPECT_FALSE(hypervisor.AuditDeviceIsolation(42).ok());
 }
 
+// A device must not outlive its VM: DestroyVm detaches it and returns its
+// IOMMU table pages before the backing is freed, so the stale device cannot
+// reach whichever tenant is placed in that memory next (in baseline mode the
+// next VM gets the very same HPAs).
+TEST_F(PassthroughTest, DestroyVmDetachesItsDevices) {
+  for (const bool enabled : {true, false}) {
+    SCOPED_TRACE(enabled ? "siloz" : "baseline");
+    SilozConfig config;
+    config.enabled = enabled;
+    auto hypervisor_owner = MakeBooted(config);
+    SilozHypervisor& hypervisor = *hypervisor_owner;
+    const size_t pool_boot = hypervisor.ept_pool_free(0);
+    Result<VmId> vm = hypervisor.CreateVm({.name = "a", .memory_bytes = 1536_MiB, .socket = 0});
+    ASSERT_TRUE(vm.ok());
+    Result<uint32_t> nic = hypervisor.AssignPassthroughDevice(*vm, "nic0");
+    ASSERT_TRUE(nic.ok());
+    ASSERT_TRUE(hypervisor.DeviceDma(*nic, 0).ok());
+
+    ASSERT_TRUE(hypervisor.DestroyVm(*vm).ok());
+    Result<uint64_t> stale = hypervisor.DeviceDma(*nic, 0);
+    ASSERT_FALSE(stale.ok()) << "device still reaches HPA " << *stale;
+    EXPECT_EQ(stale.error().code, ErrorCode::kNotFound);
+    EXPECT_EQ(hypervisor.ept_pool_free(0), pool_boot);
+    EXPECT_EQ(hypervisor.ept_pages_held(), 0u);
+    EXPECT_TRUE(hypervisor.DestroyVm(*vm).ok());  // still idempotent
+    ASSERT_TRUE(hypervisor.ReleaseVmNodes(*vm).ok());
+
+    // The next tenant: no IOVA of the old device reaches its memory.
+    Result<VmId> later = hypervisor.CreateVm({.name = "b", .memory_bytes = 1536_MiB, .socket = 0});
+    ASSERT_TRUE(later.ok());
+    for (const VmRegion& region : (*hypervisor.GetVm(*later))->regions()) {
+      for (uint64_t offset = 0; offset < region.bytes; offset += kPage2M) {
+        Result<uint64_t> dma = hypervisor.DeviceDma(*nic, region.gpa + offset);
+        ASSERT_FALSE(dma.ok()) << "stale device reaches HPA " << *dma;
+        EXPECT_EQ(dma.error().code, ErrorCode::kNotFound);
+      }
+    }
+    Status removed = hypervisor.RemovePassthroughDevice(*nic);
+    ASSERT_FALSE(removed.ok());
+    EXPECT_EQ(removed.error().code, ErrorCode::kNotFound);
+    Status audit = hypervisor.AuditDeviceIsolation(*nic);
+    ASSERT_FALSE(audit.ok());
+    EXPECT_EQ(audit.error().code, ErrorCode::kNotFound);
+  }
+}
+
 TEST_F(PassthroughTest, HostShutdownReleasesEverything) {
   auto hypervisor_owner = MakeBooted();
   SilozHypervisor& hypervisor = *hypervisor_owner;

@@ -11,8 +11,8 @@ definition whose name matches `fault_point_name_regex` (Allocate/Create/
 Reserve/Free/Destroy/... shapes) must either contain SILOZ_FAULT_POINT
 directly or call — transitively, within the scoped set — a function that
 does. Transitivity is a fixpoint over the name-based call graph, so
-`DestroyVm → FreePagesLocked → SILOZ_FAULT_POINT` counts as covered without
-demanding a redundant fault point per wrapper.
+`DestroyVm → FreeBackingBlocks → Free → SILOZ_FAULT_POINT` counts as
+covered without demanding a redundant fault point per wrapper.
 """
 
 from __future__ import annotations
