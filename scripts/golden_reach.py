@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Report how much of src/ the stdout goldens reach, and fail below a floor.
+"""Report how much of src/ the goldens reach; fail when too many lines go unreached.
 
 Usage:
   golden_reach.py BUILD_DIR
@@ -24,7 +24,8 @@ that only a unit test instantiates is not golden reach.
 It prints reach per src/ file, then every src/ function that no golden
 called. A function on ALLOW_LIST is unreached by the goldens but pinned by the
 test named there; the list is printed apart and gives a second figure, reach
-counting the list. Exit 1 when golden reach without the list is below FLOOR.
+counting the list. Exit 1 when more instrumented lines than MAX_UNREACHED go
+unreached (allow-list not counted).
 """
 
 import json
@@ -36,11 +37,12 @@ import tempfile
 from collections import defaultdict
 from pathlib import Path
 
-# Golden reach (percent of instrumented src/ lines, allow-list not counted),
-# as measured with GCC 12.2 at --coverage -O1: 5059 of 5997 lines (84.359%)
-# in two runs. It sits one line below that (84.342%), since reach has varied
-# by one line between runs. Raise it when a change reaches more.
-FLOOR = 84.34
+# Instrumented src/ lines no golden reaches (allow-list not counted), as
+# measured with GCC 12.2 at --coverage -O1: 935 of 5908 in two runs. It sits
+# one line above that, since reach has varied by one line between runs. The
+# gate counts lines rather than a ratio, because deleting reached code lowers
+# the ratio without any line losing reach. Lower it when a change reaches more.
+MAX_UNREACHED = 936
 
 # Unreached by any golden command, each pinned by the named test instead.
 # Keys are regular expressions matched against the demangled function name.
@@ -193,10 +195,13 @@ def main(argv: list[str]) -> int:
     reached = sum(count > 0 for count in lines.values())
     reach = 100.0 * reached / total
     with_list = 100.0 * (reached + len(allowed_lines)) / total
+    unreached = total - reached
     print(f"\ngolden reach: {reached}/{total} src/ lines ({reach:.2f}%); "
-          f"counting the allow-list: {with_list:.2f}%; floor {FLOOR:.2f}%")
-    if reach < FLOOR:
-        print(f"FAIL: golden reach {reach:.2f}% is below the floor {FLOOR:.2f}%")
+          f"counting the allow-list: {with_list:.2f}%; "
+          f"unreached {unreached}, at most {MAX_UNREACHED}")
+    if unreached > MAX_UNREACHED:
+        print(f"FAIL: {unreached} src/ lines unreached by the goldens, "
+              f"more than {MAX_UNREACHED}")
         return 1
     return 0
 

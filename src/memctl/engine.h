@@ -11,9 +11,7 @@
 #define SILOZ_SRC_MEMCTL_ENGINE_H_
 
 #include <bit>
-#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "src/base/check.h"
@@ -43,115 +41,60 @@ struct EngineResult {
 
 namespace engine_internal {
 
-// The closed loop observes exactly one property of the in-flight multiset:
-// its minimum (the oldest completion, which frees the issue slot). For the
-// MLP windows real cores sustain (8-16) a linear scan over a flat array is
-// fastest: completion times arrive in near-random order, so tree-walk
-// comparisons are data-dependent, while the scan compiles to conditional
-// moves. The cmov chain is a serial ~2-cycles-per-element dependence though,
-// so for the wide windows the MLC-style saturation probes use (64
-// outstanding) an O(log n) structure wins decisively — hence the low
-// cutover.
-inline constexpr uint32_t kLinearWindowLimit = 16;
-
-// Bounded multiset of in-flight completion times exposing its minimum — the
-// window structure behind every ShardServer command queue (and the serial
-// test oracle). Two representations behind one interface:
+// Bounded multiset of in-flight completion times, the window behind every
+// ShardServer command queue. The closed loop reads only its minimum value (the
+// oldest completion, which frees the issue slot), never which entry holds it.
 //
-//  - capacity <= kLinearWindowLimit: a flat array min-scanned per query.
-//  - above: a tournament (winner) tree over a power-of-two leaf array padded
-//    with +inf. Internal node j caches the leaf index of the minimum in its
-//    subtree, so MinSlot() is one array read and Replace() walks one
-//    leaf-to-root path of branchless index selections (~log2(capacity)
-//    cmovs). A binary heap's replace-min pays the same depth but with
-//    data-dependent *layout* movement per level; the tree only rewrites its
-//    cached winner indices, and was measured faster on the Fig 5 sweep's
-//    64-wide windows.
-//
-// Either way the window holds the same value multiset and callers observe
-// only minimum *values* (ties between equal minima are irrelevant: replacing
-// either slot yields the same multiset), so engine results are bit-identical
-// across representations and capacities on either side of the cutover
-// behave consistently.
+// The values sit sorted in a ring, so the head is the minimum and Min() is one
+// read. Push inserts from the back, shifting up only the entries larger than
+// the new value; ReplaceMin pops the head and inserts. In the shipped shape
+// that shift is almost always empty: every command of a bank-group queue uses
+// one channel's data bus, and ServeDecoded advances that bus's free time on
+// each request, so burst completions within a queue strictly increase. Only
+// the refresh tail (at most t_rfc, once per rank per tREFI) lands a value out
+// of order, and it moves past just the few entries within t_rfc of it. Any
+// other input stays correct at O(capacity) per insert; the worst case is a
+// decreasing sequence, which shifts every entry.
 class CompletionWindow {
  public:
   explicit CompletionWindow(uint32_t capacity)
-      : capacity_(capacity), linear_(capacity <= kLinearWindowLimit) {
+      : capacity_(capacity), mask_(std::bit_ceil(capacity) - 1), ring_(mask_ + 1) {
     SILOZ_CHECK_GT(capacity, 0u);
-    if (linear_) {
-      values_.reserve(capacity_);
-    } else {
-      leaves_ = std::bit_ceil(static_cast<size_t>(capacity_));
-      values_.assign(leaves_, std::numeric_limits<double>::infinity());
-      winners_.assign(leaves_, 0);
-      // Seed every internal node with the leftmost leaf of its subtree —
-      // consistent with the all-+inf leaves, where the left child wins every
-      // tie.
-      for (size_t j = leaves_ - 1; j >= 1; --j) {
-        winners_[j] =
-            (j >= leaves_ / 2) ? static_cast<uint32_t>(2 * j - leaves_) : winners_[2 * j];
-      }
-    }
   }
 
   bool full() const { return size_ >= capacity_; }
 
-  // Slot holding the minimum (only meaningful once full()).
-  size_t MinSlot() const {
-    if (!linear_) {
-      return winners_[1];
-    }
-    size_t best = 0;
-    double bestv = values_[0];
-    for (size_t i = 1; i < values_.size(); ++i) {
-      const bool lt = values_[i] < bestv;
-      best = lt ? i : best;
-      bestv = lt ? values_[i] : bestv;
-    }
-    return best;
+  // The oldest completion (only meaningful while non-empty).
+  double Min() const { return ring_[head_]; }
+
+  // Retire the minimum and insert `value` in its place (callers only while
+  // full()).
+  void ReplaceMin(double value) {
+    head_ = (head_ + 1) & mask_;
+    --size_;
+    Push(value);
   }
 
-  double ValueAt(size_t slot) const { return values_[slot]; }
-
-  void Replace(size_t slot, double value) {
-    values_[slot] = value;
-    if (!linear_) {
-      UpdateFrom(slot);
-    }
-  }
-
-  // Insert into the next free slot (warmup; callers Push only while !full()).
+  // Insert `value` (warmup; callers Push only while !full()).
   void Push(double value) {
-    if (linear_) {
-      values_.push_back(value);
-    } else {
-      values_[size_] = value;
-      UpdateFrom(size_);
+    uint32_t pos = size_;
+    for (; pos > 0; --pos) {
+      const double prev = ring_[(head_ + pos - 1) & mask_];
+      if (prev <= value) {
+        break;
+      }
+      ring_[(head_ + pos) & mask_] = prev;
     }
+    ring_[(head_ + pos) & mask_] = value;
     ++size_;
   }
 
  private:
-  // Replay the matches on the leaf's path to the root. The first level
-  // compares the two leaves directly; every level above selects between two
-  // cached winner indices.
-  void UpdateFrom(size_t leaf) {
-    const size_t base = leaf & ~size_t{1};
-    size_t j = (leaf + leaves_) >> 1;
-    winners_[j] = static_cast<uint32_t>(values_[base + 1] < values_[base] ? base + 1 : base);
-    for (j >>= 1; j >= 1; j >>= 1) {
-      const uint32_t a = winners_[2 * j];
-      const uint32_t b = winners_[2 * j + 1];
-      winners_[j] = values_[b] < values_[a] ? b : a;
-    }
-  }
-
   uint32_t capacity_;
-  bool linear_;
-  size_t leaves_ = 0;  // bit_ceil(capacity), tree mode only
-  size_t size_ = 0;
-  std::vector<double> values_;    // linear: grows to capacity; tree: +inf-padded leaves
-  std::vector<uint32_t> winners_;  // tree: internal nodes [1, leaves_), leaf index of min
+  uint32_t mask_;  // ring length - 1; a power-of-two length wraps with a mask
+  uint32_t head_ = 0;
+  uint32_t size_ = 0;
+  std::vector<double> ring_;  // ring_[(head_ + i) & mask_], i < size_, ascending
 };
 
 }  // namespace engine_internal

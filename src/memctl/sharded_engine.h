@@ -207,10 +207,9 @@ class ShardServer {
     if (window.full()) {
       // The queue stalls until its oldest in-flight request retires; the new
       // request takes the retired slot.
-      const size_t slot = window.MinSlot();
-      issue_cursor_ = std::max(issue_cursor_, window.ValueAt(slot));
+      issue_cursor_ = std::max(issue_cursor_, window.Min());
       completion = controller_->ServeDecoded(cmd, issue_cursor_);
-      window.Replace(slot, completion);
+      window.ReplaceMin(completion);
     } else {
       completion = controller_->ServeDecoded(cmd, issue_cursor_);
       window.Push(completion);

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <set>
 #include <span>
 
 #include "src/base/check.h"
@@ -30,24 +31,22 @@ inline EngineResult RunClosedLoop(std::span<const MemRequest> requests,
                                   std::span<MemoryController* const> controllers,
                                   const EngineConfig& config) {
   SILOZ_CHECK_GT(config.max_outstanding, 0u);
-  engine_internal::CompletionWindow window(config.max_outstanding);
+  // The oracle keeps its own window, so a fault in the production
+  // CompletionWindow shows up as a difference rather than in both engines.
+  std::multiset<double> window;
   double issue_cursor = 0.0;
   double last_completion = 0.0;
 
   for (const MemRequest& request : requests) {
     SILOZ_DCHECK(request.address.socket < controllers.size());
-    double completion;
-    if (window.full()) {
-      // The core stalls until a slot frees up; the new request takes the
-      // retired slot.
-      const size_t slot = window.MinSlot();
-      issue_cursor = std::max(issue_cursor, window.ValueAt(slot));
-      completion = controllers[request.address.socket]->Serve(request, issue_cursor);
-      window.Replace(slot, completion);
-    } else {
-      completion = controllers[request.address.socket]->Serve(request, issue_cursor);
-      window.Push(completion);
+    if (window.size() >= config.max_outstanding) {
+      // The core stalls until the oldest in-flight request retires; the new
+      // request takes its slot.
+      issue_cursor = std::max(issue_cursor, *window.begin());
+      window.erase(window.begin());
     }
+    const double completion = controllers[request.address.socket]->Serve(request, issue_cursor);
+    window.insert(completion);
     last_completion = std::max(last_completion, completion);
     issue_cursor += config.compute_ns_per_access;
   }
