@@ -171,7 +171,9 @@ void DramDevice::CloseOpenRow(uint32_t rank, uint32_t bank, uint64_t now_ns) {
     const uint32_t internal = remapper_.ToInternal(media_row, rank, bank, side);
     flip_scratch_.Clear();
     disturbance_.OnRowOpen(BankKey(rank, bank), side, internal, open_ns, now_ns, flip_scratch_);
-    ApplyInternalFlips(rank, bank, side, flip_scratch_.flips(), now_ns, FlipCause::kRowPress);
+    if (!flip_scratch_.empty()) [[unlikely]] {
+      ApplyInternalFlips(rank, bank, side, flip_scratch_.flips(), now_ns, FlipCause::kRowPress);
+    }
   }
   state.open_row = -1;
 }
@@ -197,7 +199,9 @@ void DramDevice::Activate(uint32_t rank, uint32_t bank, uint32_t media_row, uint
     }
     flip_scratch_.Clear();
     disturbance_.OnActivate(BankKey(rank, bank), side, internal, now_ns, flip_scratch_);
-    ApplyInternalFlips(rank, bank, side, flip_scratch_.flips(), now_ns, FlipCause::kHammer);
+    if (!flip_scratch_.empty()) [[unlikely]] {
+      ApplyInternalFlips(rank, bank, side, flip_scratch_.flips(), now_ns, FlipCause::kHammer);
+    }
   }
   state.open_row = media_row;
   state.open_since_ns = now_ns;
@@ -211,9 +215,6 @@ void DramDevice::Precharge(uint32_t rank, uint32_t bank, uint64_t now_ns) {
 void DramDevice::ApplyInternalFlips(uint32_t rank, uint32_t bank, HalfRowSide side,
                                     std::span<const InternalFlip> flips, uint64_t now_ns,
                                     FlipCause cause) {
-  if (flips.empty()) {
-    return;
-  }
   const uint32_t half_bytes = static_cast<uint32_t>(geometry_.row_bytes / 2);
   for (const InternalFlip& flip : flips) {
     const uint32_t media_row = remapper_.ToMedia(flip.victim_row, rank, bank, side);

@@ -90,6 +90,16 @@ class DramDevice {
   // disturbance). Advances the refresh clock first.
   void Activate(uint32_t rank, uint32_t bank, uint32_t media_row, uint64_t now_ns);
 
+  // A cache hint with no model effect, issued a few ACTs ahead of
+  // Activate(rank, bank, media_row): prefetches the row's disturbance cells
+  // on both half-row sides.
+  void Prefetch(uint32_t rank, uint32_t bank, uint32_t media_row) {
+    for (HalfRowSide side : {HalfRowSide::kA, HalfRowSide::kB}) {
+      disturbance_.Prefetch(BankKey(rank, bank), side,
+                            remapper_.ToInternal(media_row, rank, bank, side));
+    }
+  }
+
   // Close any open row in (rank, bank).
   void Precharge(uint32_t rank, uint32_t bank, uint64_t now_ns);
 

@@ -112,16 +112,6 @@ void DisturbanceModel::AddDisturbanceClipped(uint32_t bank_key, HalfRowSide side
   }
 }
 
-void DisturbanceModel::OnRowOpen(uint32_t bank_key, HalfRowSide side, uint32_t internal_row,
-                                 uint64_t open_ns, uint64_t now_ns, FlipSink& sink) {
-  SILOZ_DCHECK(internal_row < rows_per_bank_);
-  CheckEpochRange(now_ns);
-  const double equivalent_acts = static_cast<double>(open_ns) * profile_.rowpress_acts_per_ns;
-  const auto subarray = static_cast<uint32_t>(subarray_div_.Divide(internal_row));
-  VictimState* slab = SlabFor(bank_key, side, subarray);
-  AddDisturbance(bank_key, side, internal_row, subarray, slab, equivalent_acts, now_ns, sink);
-}
-
 std::vector<InternalFlip> DisturbanceModel::OnActivate(uint32_t bank_key, HalfRowSide side,
                                                        uint32_t internal_row, uint64_t now_ns) {
   FlipSink sink;

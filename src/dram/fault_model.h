@@ -20,6 +20,7 @@
 #ifndef SILOZ_SRC_DRAM_FAULT_MODEL_H_
 #define SILOZ_SRC_DRAM_FAULT_MODEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -132,9 +133,29 @@ class DisturbanceModel {
   }
 
   // Record that `internal_row` was held open for `open_ns` beyond nominal
-  // tRAS (RowPress, §2.5).
+  // tRAS (RowPress, §2.5). Inline for the same reason as OnActivate: every
+  // ACT that closes a row delivers one.
   void OnRowOpen(uint32_t bank_key, HalfRowSide side, uint32_t internal_row, uint64_t open_ns,
-                 uint64_t now_ns, FlipSink& sink);
+                 uint64_t now_ns, FlipSink& sink) {
+    SILOZ_DCHECK(internal_row < rows_per_bank_);
+    CheckEpochRange(now_ns);
+    const double equivalent_acts = static_cast<double>(open_ns) * profile_.rowpress_acts_per_ns;
+    const auto subarray = static_cast<uint32_t>(subarray_div_.Divide(internal_row));
+    VictimState* slab = SlabFor(bank_key, side, subarray);
+    AddDisturbance(bank_key, side, internal_row, subarray, slab, equivalent_acts, now_ns, sink);
+  }
+
+  // A cache hint with no model effect: prefetches the cells an ACT of
+  // `internal_row` touches, its +-2 neighbourhood (at most two cache
+  // lines). It may allocate the row's slab early; a zeroed slab already
+  // means "untracked".
+  void Prefetch(uint32_t bank_key, HalfRowSide side, uint32_t internal_row) {
+    const auto subarray = static_cast<uint32_t>(subarray_div_.Divide(internal_row));
+    const VictimState* slab = SlabFor(bank_key, side, subarray);
+    const uint32_t offset = internal_row - subarray * rows_per_subarray_;
+    __builtin_prefetch(slab + (offset >= 2 ? offset - 2 : 0), 1);
+    __builtin_prefetch(slab + std::min(offset + 2, rows_per_subarray_ - 1), 1);
+  }
 
   // Vector-returning conveniences (tests, tools); the device hot path uses
   // the FlipSink overloads.

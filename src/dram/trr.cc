@@ -19,14 +19,6 @@ void TrrTracker::Rearm() {
   }
 }
 
-void TrrTracker::EraseAt(uint32_t index) {
-  const uint32_t last = --size_;
-  rows_[index] = rows_[last];
-  counts_[index] = counts_[last];
-  inserted_[index] = inserted_[last];
-  bucket_since_[index] = bucket_since_[last];
-}
-
 void TrrTracker::OnActivate(uint32_t internal_row) {
   for (uint32_t i = 0; i < size_; ++i) {
     if (rows_[i] == internal_row) {
@@ -40,17 +32,13 @@ void TrrTracker::OnActivate(uint32_t internal_row) {
     const uint64_t stamp = next_stamp_++;
     // Joining a non-empty bucket keeps that bucket's stamp; an empty bucket
     // starts a new one.
-    uint64_t bucket_since = stamp;
-    for (uint32_t i = 0; i < size_; ++i) {
-      if (rows_[i] % kBuckets == internal_row % kBuckets) {
-        bucket_since = bucket_since_[i];
-        break;
-      }
+    const uint32_t bucket = internal_row % kBuckets;
+    if (bucket_live_[bucket]++ == 0) {
+      bucket_since_[bucket] = stamp;
     }
     rows_[size_] = internal_row;
     counts_[size_] = 1;
     inserted_[size_] = stamp;
-    bucket_since_[size_] = bucket_since;
     ++size_;
     if (config_.act_threshold <= 1) {
       armed_ = true;
@@ -60,22 +48,23 @@ void TrrTracker::OnActivate(uint32_t internal_row) {
   // Misra-Gries: a new row with a full table decrements every counter; rows
   // reaching zero are evicted, and so are targets SelectTargets already
   // reset to zero (decrementing those would wrap). Many-sided patterns
-  // exploit exactly this to flush true aggressors with decoys. (A moved-in
-  // last entry has not been swept yet, so index i is revisited.)
-  for (uint32_t i = 0; i < size_;) {
+  // exploit exactly this to flush true aggressors with decoys. One
+  // compaction pass keeps the survivors in order and re-derives armed_: a
+  // count sitting exactly at the threshold may just have dropped below it.
+  uint32_t kept = 0;
+  armed_ = false;
+  for (uint32_t i = 0; i < size_; ++i) {
     if (counts_[i] <= 1) {
-      EraseAt(i);
-    } else {
-      --counts_[i];
-      ++i;
+      --bucket_live_[rows_[i] % kBuckets];
+      continue;
     }
+    rows_[kept] = rows_[i];
+    counts_[kept] = counts_[i] - 1;
+    inserted_[kept] = inserted_[i];
+    armed_ = armed_ || counts_[kept] >= config_.act_threshold;
+    ++kept;
   }
-  // A count sitting exactly at the threshold just dropped below it; the
-  // eviction sweep is already O(entries), so the rescan is free by
-  // comparison.
-  if (armed_) {
-    Rearm();
-  }
+  size_ = kept;
 }
 
 std::vector<uint32_t> TrrTracker::SelectTargets() {

@@ -31,8 +31,9 @@ struct TrrConfig {
 };
 
 // Misra-Gries tracker for one (rank, bank, side), in fixed arrays of at most
-// kMaxEntries rows: lookups are linear scans, and an erase moves the last
-// entry into the hole.
+// kMaxEntries rows: lookups are linear scans, and an eviction is one
+// compaction pass. Rows are unique and insertion stamps are unique, so an
+// entry's position carries no meaning.
 //
 // SelectTargets picks the largest count and breaks ties by a fixed
 // recency rule. Ties are real (hammered rows often carry equal counts), and
@@ -69,13 +70,13 @@ class TrrTracker {
   // The hash-table bucket count the tie-break rule is defined over.
   static constexpr uint32_t kBuckets = 13;
 
-  // Recompute armed_ by scanning the counts (used after bulk decrements).
+  // Recompute armed_ by scanning the counts (after SelectTargets resets).
   void Rearm();
-  void EraseAt(uint32_t index);
   // True iff entry `a` precedes entry `b` in the tie-break order.
   bool Precedes(uint32_t a, uint32_t b) const {
-    return bucket_since_[a] != bucket_since_[b] ? bucket_since_[a] > bucket_since_[b]
-                                                : inserted_[a] > inserted_[b];
+    const uint64_t since_a = bucket_since_[rows_[a] % kBuckets];
+    const uint64_t since_b = bucket_since_[rows_[b] % kBuckets];
+    return since_a != since_b ? since_a > since_b : inserted_[a] > inserted_[b];
   }
 
   TrrConfig config_;
@@ -88,9 +89,10 @@ class TrrTracker {
   uint32_t rows_[kMaxEntries] = {};
   uint64_t counts_[kMaxEntries] = {};
   uint64_t inserted_[kMaxEntries] = {};
-  // Stamp of the insert that last made this entry's bucket non-empty;
-  // shared by every entry of the bucket.
-  uint64_t bucket_since_[kMaxEntries] = {};
+  // Per bucket: its live entries, and the stamp of the insert that last
+  // made it non-empty (meaningful while bucket_live_ is nonzero).
+  uint8_t bucket_live_[kBuckets] = {};
+  uint64_t bucket_since_[kBuckets] = {};
 };
 
 }  // namespace siloz

@@ -256,6 +256,11 @@ Status ApplyPlatform(RunnerConfig& config, std::string_view platform,
   return Status::Ok();
 }
 
+// How many ACTs ahead ReplayDisturbance prefetches: far enough to cover a
+// DRAM miss behind the ACTs in flight, near enough that the lines are still
+// cached when the ACT arrives.
+constexpr uint32_t kReplayLookahead = 8;
+
 void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace,
                        uint32_t channels_per_shard, uint32_t threads) {
   const DramGeometry& geometry = machine.config().geometry;
@@ -278,18 +283,34 @@ void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace,
   // for every channels_per_shard and thread count. The machine clock itself
   // is not advanced.
   const ShardPlan plan(geometry, geometry.sockets, channels_per_shard);
-  const ShardPartition partition = PartitionByShard(plan, trace);
+  ShardPartition partition = PartitionByShard(plan, trace);
   auto replay_shard = [&](uint64_t shard) {
+    // First filter the shard's index slice in place down to its ACTs (row
+    // hits reuse the buffer and disturb nothing; the writes trail the
+    // reads), so the issue loop below can see kReplayLookahead ACTs ahead.
+    uint32_t* const acts = partition.indices.data() + partition.offsets[shard];
+    uint32_t act_count = 0;
     for (const uint32_t index : partition.Shard(static_cast<uint32_t>(shard))) {
       const MediaAddress& media = trace[index].address;
       int64_t& open_row =
           open_rows[media.socket * banks_per_socket + SocketBankIndex(geometry, media)];
-      if (open_row == static_cast<int64_t>(media.row)) {
-        continue;  // row hit: buffer reuse, no device ACT
+      if (open_row != static_cast<int64_t>(media.row)) {
+        open_row = media.row;
+        acts[act_count++] = index;
       }
-      open_row = media.row;
+    }
+    // The victim slabs of a trial overflow the last-level cache, so the ACT
+    // stream is memory-latency bound: hint each ACT's cells kReplayLookahead
+    // ACTs before issuing it. Prefetch has no model effect.
+    for (uint32_t j = 0; j < act_count; ++j) {
+      if (j + kReplayLookahead < act_count) {
+        const MediaAddress& ahead = trace[acts[j + kReplayLookahead]].address;
+        machine.device(ahead.socket, ahead.channel, ahead.dimm)
+            .Prefetch(ahead.rank, ahead.bank, ahead.row);
+      }
+      const MediaAddress& media = trace[acts[j]].address;
       machine.device(media.socket, media.channel, media.dimm)
-          .Activate(media.rank, media.bank, media.row, clock0 + index * act_cost);
+          .Activate(media.rank, media.bank, media.row, clock0 + acts[j] * act_cost);
     }
   };
   ParallelFor(threads, plan.shard_count(), replay_shard);

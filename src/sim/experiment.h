@@ -128,8 +128,11 @@ Result<RunMeasurement> RunWorkload(const RunnerConfig& config, const WorkloadSpe
 // (PartitionByShard; channels_per_shard >= 1, 0 CHECK-fails in ShardPlan)
 // and the shards replay on `threads` workers (as in RunnerConfig::threads)
 // over channel-disjoint devices, flip-identical to a trace-order replay by
-// construction. Deterministic in the trace alone; the machine clock itself
-// is not advanced.
+// construction. Each shard filters its index slice in place down to its
+// ACTs, then issues them while prefetching the device state of the ACT a
+// fixed lookahead ahead (DramDevice::Prefetch, a hint with no model
+// effect). Deterministic in the trace alone; the machine clock itself is
+// not advanced.
 void ReplayDisturbance(Machine& machine, std::span<const MemRequest> trace,
                        uint32_t channels_per_shard = 1, uint32_t threads = 1);
 

@@ -28,8 +28,9 @@
 // Plus the experiment-level corollaries: RunWorkload report values are
 // bit-identical across thread counts, RunnerConfig{} is the one-shard-per-
 // channel, one-queue-per-bank-group model, zero knobs are rejected, and
-// ReplayDisturbance leaves the flip census of a trace-order replay for
-// every sharding and worker count.
+// ReplayDisturbance leaves the flip census (and, with TRR on, every
+// device's counters) of a trace-order replay for every sharding and worker
+// count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -509,6 +510,36 @@ TEST(ShardedDifferentialTest, FaultReplayFlipCensusMatchesSerial) {
       Machine machine(config);
       ReplayDisturbance(machine, trace, channels_per_shard, threads);
       EXPECT_EQ(DrainFlipPhys(machine), expected)
+          << "cps=" << channels_per_shard << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ShardedDifferentialTest, FaultReplayWithTrrMatchesSerial) {
+  // The same identity with the TRR tracker live, compared record by record
+  // (flip times included) and on every device counter: an ACT issued at any
+  // other time would move the flips' timestamps, and where it crosses a REF
+  // tick, the tracker's selections and victim refreshes.
+  const MachineConfig config = TrrFaultMachine(MachineConfig{});
+  Machine reference(config);
+  const std::vector<MemRequest> trace = HammerTrace(config.geometry, 0x7BB, 6000);
+  ReplayInTraceOrder(reference, trace);
+  const std::vector<DeviceCounters> expected_counters = AllDeviceCounters(reference);
+  const std::vector<PhysFlip> expected = reference.DrainFlips();
+  ASSERT_FALSE(expected.empty()) << "the hammer trace must flip bits";
+  uint64_t victim_refreshes = 0;
+  for (const DeviceCounters& counters : expected_counters) {
+    victim_refreshes += counters.trr_victim_refreshes;
+  }
+  ASSERT_GT(victim_refreshes, 0u) << "TRR must select targets";
+
+  for (const uint32_t channels_per_shard : {1u, 3u}) {
+    for (const uint32_t threads : {1u, 4u}) {
+      Machine machine(config);
+      ReplayDisturbance(machine, trace, channels_per_shard, threads);
+      EXPECT_TRUE(AllDeviceCounters(machine) == expected_counters)
+          << "cps=" << channels_per_shard << " threads=" << threads;
+      EXPECT_TRUE(machine.DrainFlips() == expected)
           << "cps=" << channels_per_shard << " threads=" << threads;
     }
   }

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -48,7 +49,7 @@ inline std::vector<uint64_t> DrainFlipPhys(Machine& machine) {
 
 // `config` in fault mode with DIMMs that flip within a short trace: low
 // Rowhammer thresholds and TRR off, so replay differentials compare
-// non-empty flip censuses.
+// non-empty flip censuses (TrrFaultMachine below turns TRR back on).
 inline MachineConfig FragileFaultMachine(MachineConfig config) {
   config.fault_tracking = true;
   for (DimmProfile& profile : config.dimm_profiles) {
@@ -56,6 +57,35 @@ inline MachineConfig FragileFaultMachine(MachineConfig config) {
     profile.trr.enabled = false;
   }
   return config;
+}
+
+// FragileFaultMachine with TRR on. HammerTrace activates each aggressor
+// 3000 times in 6000 rounds, so an act_threshold of 1200 makes the trackers
+// select targets twice per aggressor, while the victim between the pair
+// still takes up to 2400 ACTs between refreshes, past many rows' flip
+// thresholds: a replay differential on this machine runs the tracker and
+// still compares a non-empty flip census.
+inline MachineConfig TrrFaultMachine(MachineConfig config) {
+  config = FragileFaultMachine(std::move(config));
+  for (DimmProfile& profile : config.dimm_profiles) {
+    profile.trr.enabled = true;
+    profile.trr.act_threshold = 1200;
+  }
+  return config;
+}
+
+// Every device's counters, socket-major, then channel, then DIMM.
+inline std::vector<DeviceCounters> AllDeviceCounters(Machine& machine) {
+  const DramGeometry& geometry = machine.config().geometry;
+  std::vector<DeviceCounters> counters;
+  for (uint32_t socket = 0; socket < geometry.sockets; ++socket) {
+    for (uint32_t channel = 0; channel < geometry.channels_per_socket; ++channel) {
+      for (uint32_t dimm = 0; dimm < geometry.dimms_per_channel; ++dimm) {
+        counters.push_back(machine.device(socket, channel, dimm).counters());
+      }
+    }
+  }
+  return counters;
 }
 
 // A double-sided hammer pair on one bank of every (socket, channel), visited
