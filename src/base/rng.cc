@@ -64,22 +64,17 @@ class ZetaCache {
     const uint64_t bits = std::bit_cast<uint64_t>(theta);
     {
       MutexLock lock(mutex_);
-      for (const Entry& entry : entries_) {
-        if (entry.n == n && entry.theta_bits == bits) {
-          return entry.value;
-        }
+      if (const Entry* entry = Find(entries_, n, bits)) {
+        return entry->value;
       }
     }
-    // Compute outside the lock; a racing duplicate computes the identical
-    // value, and the recheck below keeps the cache entry unique.
+    // Compute outside the lock. Concurrent misses on one key compute the
+    // identical value and only the first stores it, so entries stay unique.
     const double value = Zeta(n, theta);
     MutexLock lock(mutex_);
-    for (const Entry& entry : entries_) {
-      if (entry.n == n && entry.theta_bits == bits) {
-        return entry.value;
-      }
+    if (Find(entries_, n, bits) == nullptr) {
+      entries_.push_back(Entry{n, bits, value});
     }
-    entries_.push_back(Entry{n, bits, value});
     return value;
   }
 
@@ -89,6 +84,16 @@ class ZetaCache {
     uint64_t theta_bits = 0;
     double value = 0.0;
   };
+
+  static const Entry* Find(const std::vector<Entry>& entries, uint64_t n, uint64_t bits) {
+    for (const Entry& entry : entries) {
+      if (entry.n == n && entry.theta_bits == bits) {
+        return &entry;
+      }
+    }
+    return nullptr;
+  }
+
   Mutex mutex_;
   std::vector<Entry> entries_ GUARDED_BY(mutex_);
 };

@@ -6,7 +6,7 @@ namespace siloz {
 
 TrrTracker::TrrTracker(const TrrConfig& config) : config_(config) {
   SILOZ_CHECK_LE(config_.tracker_entries, kMaxEntries)
-      << "the TRR tie-break rule is defined for at most " << kMaxEntries << " entries";
+      << "the TRR tracker's fixed storage holds at most " << kMaxEntries << " entries";
 }
 
 void TrrTracker::Rearm() {
@@ -29,16 +29,8 @@ void TrrTracker::OnActivate(uint32_t internal_row) {
     }
   }
   if (size_ < config_.tracker_entries) {
-    const uint64_t stamp = next_stamp_++;
-    // Joining a non-empty bucket keeps that bucket's stamp; an empty bucket
-    // starts a new one.
-    const uint32_t bucket = internal_row % kBuckets;
-    if (bucket_live_[bucket]++ == 0) {
-      bucket_since_[bucket] = stamp;
-    }
     rows_[size_] = internal_row;
     counts_[size_] = 1;
-    inserted_[size_] = stamp;
     ++size_;
     if (config_.act_threshold <= 1) {
       armed_ = true;
@@ -49,18 +41,16 @@ void TrrTracker::OnActivate(uint32_t internal_row) {
   // reaching zero are evicted, and so are targets SelectTargets already
   // reset to zero (decrementing those would wrap). Many-sided patterns
   // exploit exactly this to flush true aggressors with decoys. One
-  // compaction pass keeps the survivors in order and re-derives armed_: a
-  // count sitting exactly at the threshold may just have dropped below it.
+  // compaction pass drops them and re-derives armed_: a count sitting
+  // exactly at the threshold may just have dropped below it.
   uint32_t kept = 0;
   armed_ = false;
   for (uint32_t i = 0; i < size_; ++i) {
     if (counts_[i] <= 1) {
-      --bucket_live_[rows_[i] % kBuckets];
       continue;
     }
     rows_[kept] = rows_[i];
     counts_[kept] = counts_[i] - 1;
-    inserted_[kept] = inserted_[i];
     armed_ = armed_ || counts_[kept] >= config_.act_threshold;
     ++kept;
   }
@@ -79,7 +69,7 @@ std::vector<uint32_t> TrrTracker::SelectTargets() {
         continue;
       }
       if (best == size_ || counts_[i] > counts_[best] ||
-          (counts_[i] == counts_[best] && Precedes(i, best))) {
+          (counts_[i] == counts_[best] && rows_[i] < rows_[best])) {
         best = i;
       }
     }

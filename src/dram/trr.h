@@ -32,19 +32,16 @@ struct TrrConfig {
 
 // Misra-Gries tracker for one (rank, bank, side), in fixed arrays of at most
 // kMaxEntries rows: lookups are linear scans, and an eviction is one
-// compaction pass. Rows are unique and insertion stamps are unique, so an
-// entry's position carries no meaning.
+// compaction pass. Rows are unique, so an entry's position carries no
+// meaning.
 //
-// SelectTargets picks the largest count and breaks ties by a fixed
-// recency rule. Ties are real (hammered rows often carry equal counts), and
-// the rule is part of the model: entries compare newest first by the time
-// their bucket `row % 13` last went from empty to non-empty, then newest
-// first by insertion time. That equals libstdc++'s std::unordered_map
-// iteration order for this table (13 buckets from the first insert, never
-// rehashed at <= 12 entries), the order the model's pinned outputs were
-// produced under; the rule itself depends on no standard library.
+// SelectTargets picks the highest count, and among equal counts the lowest
+// row. Ties are real (hammered rows often carry equal counts), and the rule
+// is part of the model: it depends only on the tracked rows and counts,
+// never on the order they arrived in.
 class TrrTracker {
  public:
+  // The bound on the tracker's fixed storage.
   static constexpr uint32_t kMaxEntries = 12;
 
   // CHECKs config.tracker_entries <= kMaxEntries.
@@ -67,32 +64,16 @@ class TrrTracker {
   bool armed() const { return armed_; }
 
  private:
-  // The hash-table bucket count the tie-break rule is defined over.
-  static constexpr uint32_t kBuckets = 13;
-
   // Recompute armed_ by scanning the counts (after SelectTargets resets).
   void Rearm();
-  // True iff entry `a` precedes entry `b` in the tie-break order.
-  bool Precedes(uint32_t a, uint32_t b) const {
-    const uint64_t since_a = bucket_since_[rows_[a] % kBuckets];
-    const uint64_t since_b = bucket_since_[rows_[b] % kBuckets];
-    return since_a != since_b ? since_a > since_b : inserted_[a] > inserted_[b];
-  }
 
   TrrConfig config_;
   uint32_t size_ = 0;
   bool armed_ = false;
-  // Insert sequence number; stamps inserted_ and bucket_since_.
-  uint64_t next_stamp_ = 0;
   // Structure of arrays: the per-ACT lookup scans rows_ alone, one cache
   // line.
   uint32_t rows_[kMaxEntries] = {};
   uint64_t counts_[kMaxEntries] = {};
-  uint64_t inserted_[kMaxEntries] = {};
-  // Per bucket: its live entries, and the stamp of the insert that last
-  // made it non-empty (meaningful while bucket_live_ is nonzero).
-  uint8_t bucket_live_[kBuckets] = {};
-  uint64_t bucket_since_[kBuckets] = {};
 };
 
 }  // namespace siloz

@@ -210,28 +210,34 @@ std::vector<uint32_t> GenerateLineOps(const StreamKey& key) {
   return ops;
 }
 
+const StreamCacheEntry* FindCachedOps(const std::vector<StreamCacheEntry>& cache,
+                                      const StreamKey& key) {
+  for (const StreamCacheEntry& entry : cache) {
+    if (entry.key == key) {
+      return &entry;
+    }
+  }
+  return nullptr;
+}
+
 std::shared_ptr<const std::vector<uint32_t>> CachedLineOps(const StreamKey& key) {
   {
     MutexLock lock(stream_cache_mutex);
-    for (const StreamCacheEntry& entry : stream_cache) {
-      if (entry.key == key) {
-        return entry.ops;
-      }
+    if (const StreamCacheEntry* entry = FindCachedOps(stream_cache, key)) {
+      return entry->ops;
     }
   }
   // Generate outside the lock: concurrent misses on the same key do
-  // redundant (identical) work instead of serializing the whole grid.
+  // redundant (identical) work instead of serializing the whole grid. Only
+  // the first to finish stores its ops.
   auto ops = std::make_shared<const std::vector<uint32_t>>(GenerateLineOps(key));
   MutexLock lock(stream_cache_mutex);
-  for (const StreamCacheEntry& entry : stream_cache) {
-    if (entry.key == key) {
-      return entry.ops;
+  if (FindCachedOps(stream_cache, key) == nullptr) {
+    if (stream_cache.size() >= kStreamCacheMaxEntries) {
+      stream_cache.erase(stream_cache.begin());
     }
+    stream_cache.push_back(StreamCacheEntry{key, ops});
   }
-  if (stream_cache.size() >= kStreamCacheMaxEntries) {
-    stream_cache.erase(stream_cache.begin());
-  }
-  stream_cache.push_back(StreamCacheEntry{key, ops});
   return ops;
 }
 

@@ -1,17 +1,16 @@
-// Hash-map Misra-Gries tracker: the differential oracle for TrrTracker.
+// Ordered-map Misra-Gries tracker: the differential oracle for TrrTracker.
 //
-// This is the tracker as first written, on std::unordered_map<row, count>.
-// SelectTargets breaks ties between equal counts by the map's iteration
-// order, which the flat TrrTracker (src/dram/trr.h) reproduces as an
-// explicit rule for the libstdc++ table shape (13 buckets from the first
-// insert, never rehashed at <= 12 entries). The oracle therefore only agrees
-// with TrrTracker under libstdc++; the differential test skips elsewhere.
+// This is the tracker written the plain way, on std::map<row, count>.
+// SelectTargets takes the first entry in iteration order among the largest
+// counts. A std::map iterates rows in ascending order, so that is the flat
+// TrrTracker's rule (src/dram/trr.h): the highest count, and among equal
+// counts the lowest row.
 #ifndef SILOZ_TESTS_SUPPORT_TRR_ORACLE_H_
 #define SILOZ_TESTS_SUPPORT_TRR_ORACLE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "src/dram/trr.h"
@@ -89,7 +88,7 @@ class MapTrrTracker {
   }
 
   TrrConfig config_;
-  std::unordered_map<uint32_t, uint64_t> counts_;
+  std::map<uint32_t, uint64_t> counts_;
   bool armed_ = false;
 };
 
