@@ -5,7 +5,8 @@ The determinism contract (DESIGN.md §9) says model-domain metric *values* are
 thread-count-invariant: a serial and a parallel run of the same seeded
 configuration must export identical "model" sections. The "sched" section
 (pool task counts) measures the host and legitimately differs, so it is
-ignored.
+ignored. The goldens pin each model section by one hash (check_golden.py
+--model); when one fails, this script names the metrics that moved.
 
 Usage: diff_model_metrics.py A.json B.json
 Exits 0 when the model sections match, 1 with a per-key report otherwise.

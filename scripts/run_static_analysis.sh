@@ -51,7 +51,7 @@ else
 fi
 
 echo "=== [2/6] siloz-lint ==="
-python3 tools/siloz_lint/siloz_lint.py --frontend=auto
+python3 tools/siloz_lint/siloz_lint.py
 
 echo "=== [3/6] static isolation audit ==="
 ./build/tools/siloz_audit --stride 0x100000

@@ -2,11 +2,11 @@
 """Golden test driver for siloz-lint, wired into ctest under the `lint` label.
 
 Cases:
-  <rule>        run ONE rule over its violate+clean fixture pair with the
-                pure-Python token frontend and compare the JSON report
-                byte-for-byte against tests/lint/golden/<rule>.json. The
-                violate fixture must produce findings (tool exit 1) — this is
-                the regression test that each check actually fires.
+  <rule>        run ONE rule over its violate+clean fixture pair and compare
+                the JSON report byte-for-byte against
+                tests/lint/golden/<rule>.json. The violate fixture must
+                produce findings (tool exit 1) — this is the regression test
+                that each check actually fires.
   suppression   the allow() comment forms must silence a real finding
                 (tool exit 0, empty findings document).
   tree          the full repository must lint clean with the shipped
@@ -37,7 +37,7 @@ RULE_CASES = {
 
 def run_lint(args):
     return subprocess.run(
-        [sys.executable, LINT, "--frontend=tokens", "--format=json"] + args,
+        [sys.executable, LINT, "--format=json"] + args,
         capture_output=True,
         text=True,
         cwd=REPO,

@@ -164,11 +164,12 @@ class Engine:
         self.rules = rules
         self.config = config
 
-    def run(self, paths: List[str], frontend) -> List[Finding]:
+    def run(self, paths: List[str]) -> List[Finding]:
         root = self.config.root
         contexts = []
         for path in paths:
-            text = frontend.read(path)
+            with open(path, "r", encoding="utf-8", errors="replace") as f:
+                text = f.read()
             contexts.append(FileContext(path, os.path.relpath(path, root), text))
 
         project = ProjectContext(self.config)

@@ -1,4 +1,4 @@
-"""Pure-Python C++ tokenizer for siloz-lint's token frontend.
+"""Pure-Python C++ tokenizer for siloz-lint.
 
 This is deliberately not a full C++ lexer: it produces exactly the token
 stream the rules in tools/siloz_lint/rules need — identifiers, numbers,

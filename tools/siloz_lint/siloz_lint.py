@@ -14,7 +14,6 @@ Usage:
   tools/siloz_lint/siloz_lint.py                     # lint src/ + tools/
   tools/siloz_lint/siloz_lint.py src/siloz tests/x.cc
   tools/siloz_lint/siloz_lint.py --format=json
-  tools/siloz_lint/siloz_lint.py --frontend=tokens   # pin the pure-Python lexer
 
 Exit codes: 0 clean, 1 findings reported, 2 usage or internal error.
 Suppress a deliberate pattern with a trailing or preceding-line comment:
@@ -30,7 +29,6 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from engine import Config, Engine, discover_files
-from frontends import make_frontend
 from reporters import to_json, to_text
 from rules import ALL_RULES, RULE_NAMES
 
@@ -54,14 +52,6 @@ def main(argv=None) -> int:
         dest="output_format",
     )
     parser.add_argument(
-        "--frontend", choices=("auto", "tokens", "libclang"), default="auto",
-    )
-    parser.add_argument(
-        "--compile-commands", default=None,
-        help="compile_commands.json for the libclang frontend "
-        "(default: <root>/build/compile_commands.json)",
-    )
-    parser.add_argument(
         "--rule", action="append", default=None, choices=RULE_NAMES,
         help="run only this rule (repeatable)",
     )
@@ -83,15 +73,6 @@ def main(argv=None) -> int:
         print(f"siloz-lint: bad config: {err}", file=sys.stderr)
         return 2
 
-    compile_commands = args.compile_commands or os.path.join(
-        config.root, "build", "compile_commands.json"
-    )
-    try:
-        frontend = make_frontend(args.frontend, compile_commands)
-    except Exception as err:
-        print(f"siloz-lint: frontend '{args.frontend}': {err}", file=sys.stderr)
-        return 2
-
     rules = ALL_RULES
     if args.rule:
         wanted = set(args.rule)
@@ -102,12 +83,7 @@ def main(argv=None) -> int:
         print("siloz-lint: no input files", file=sys.stderr)
         return 2
 
-    try:
-        findings = Engine(rules, config).run(paths, frontend)
-    except RuntimeError as err:
-        print(f"siloz-lint: {err}", file=sys.stderr)
-        return 2
-
+    findings = Engine(rules, config).run(paths)
     out = to_json(findings) if args.output_format == "json" else to_text(findings)
     sys.stdout.write(out)
     return 1 if findings else 0
